@@ -2,8 +2,8 @@
  * @file
  * DES kernel microbenchmark: events/sec and allocations/event of the
  * calendar-queue + inline-callback kernel against the binary-heap +
- * std::function kernel it replaced, plus a full-stack fig08-style
- * experiment timing.
+ * std::function kernel it replaced, a full-stack fig08-style
+ * experiment timing, and the device copy-path allocation gate.
  *
  * Both kernels dispatch the *same* deterministic event stream (the
  * golden test in tests/test_event_queue_golden.cc proves order
@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "harness/copy_drill.h"
 #include "obs/telemetry.h"
 #include "sim/event_queue.h"
 #include "sim/inline_event.h"
@@ -452,6 +453,52 @@ telemetryGate(BenchReport &report, bool quick)
     report.add("telemetry_gate", r);
 }
 
+void
+copyPathGate(BenchReport &report, bool quick)
+{
+    printHeader("Device copy-path gate",
+                "steady-state forced-copy checkpoints + host reads + "
+                "sub-unit RMW writes with GC (presets::small, 2 KiB "
+                "units); any heap allocation fails");
+    const std::uint32_t rounds = quick ? 500 : 5'000;
+    CopyPathDrill drill;
+    drill.prepare(rounds);
+    const std::uint64_t allocs_before =
+        g_allocs.load(std::memory_order_relaxed);
+    const auto t0 = std::chrono::steady_clock::now();
+    const std::uint64_t records = drill.run();
+    const double secs = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - t0)
+                            .count();
+    const std::uint64_t allocs =
+        g_allocs.load(std::memory_order_relaxed) - allocs_before;
+    const double per_sec = secs > 0 ? double(records) / secs : 0.0;
+
+    // Rounds also carry the journal write, DeleteLogs and host I/O,
+    // so the rate is per copied record of the whole drill.
+    Table t({"path", "copied records", "copied records/s",
+             "allocs/copied record"});
+    t.addRow({"forced-copy drill", Table::num(records),
+              Table::num(std::uint64_t(per_sec)),
+              Table::num(double(allocs) / double(records), 3)});
+    std::printf("%s", t.render().c_str());
+
+    RunResult r;
+    r.raw["copypath.records"] = records;
+    r.raw["copypath.recordsPerSec"] = std::uint64_t(per_sec);
+    r.raw["copypath.allocs"] = allocs;
+    report.add("copy_path", r);
+    if (allocs != 0) {
+        std::fprintf(stderr,
+                     "FAIL: device copy path allocated %llu times "
+                     "over %llu copied records\n",
+                     (unsigned long long)allocs,
+                     (unsigned long long)records);
+        std::exit(1);
+    }
+    std::printf("\ncopy-path heap allocations: 0 (asserted)\n");
+}
+
 } // namespace
 } // namespace checkin
 
@@ -467,5 +514,6 @@ main(int argc, char **argv)
     checkin::microbench(report, quick);
     checkin::fullStack(report, quick);
     checkin::telemetryGate(report, quick);
+    checkin::copyPathGate(report, quick);
     return 0;
 }

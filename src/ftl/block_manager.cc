@@ -1,6 +1,8 @@
 #include "ftl/block_manager.h"
 
+#include <algorithm>
 #include <cassert>
+#include <functional>
 #include <limits>
 
 namespace checkin {
@@ -16,9 +18,20 @@ BlockManager::BlockManager(std::uint64_t total_blocks,
       active_(std::size_t(kStreamCount) * die_count, kInvalidAddr)
 {
     assert(total_blocks % die_count == 0);
-    for (Pbn b = 0; b < total_blocks; ++b)
-        pools_[dieOf(b)].insert({0, b});
+    for (auto &pool : pools_)
+        pool.reserve(blocksPerDie_);
+    for (Pbn b = total_blocks; b-- > 0;)
+        pools_[dieOf(b)].push_back({0, b});
     totalFree_ = std::uint32_t(total_blocks);
+}
+
+void
+BlockManager::poolInsert(PoolEntry e)
+{
+    auto &pool = pools_[dieOf(e.second)];
+    pool.insert(std::lower_bound(pool.begin(), pool.end(), e,
+                                 std::greater<PoolEntry>()),
+                e);
 }
 
 Pbn
@@ -31,9 +44,8 @@ BlockManager::allocate(Stream stream, std::uint32_t die)
     auto &pool = pools_[die];
     if (pool.empty())
         return kInvalidAddr;
-    auto it = pool.begin();
-    const Pbn pbn = it->second;
-    pool.erase(it);
+    const Pbn pbn = pool.back().second;
+    pool.pop_back();
     --totalFree_;
     state_[pbn] = State::Active;
     slot = pbn;
@@ -81,7 +93,7 @@ BlockManager::release(Pbn pbn, std::uint32_t erase_count)
     assert(state_[pbn] == State::Closed);
     assert(valid_[pbn] == 0);
     state_[pbn] = State::Free;
-    pools_[dieOf(pbn)].insert({erase_count, pbn});
+    poolInsert({erase_count, pbn});
     ++totalFree_;
 }
 
@@ -93,9 +105,12 @@ BlockManager::retire(Pbn pbn, std::uint32_t erase_count)
         return;
     case State::Free: {
         auto &pool = pools_[dieOf(pbn)];
-        const auto erased = pool.erase({erase_count, pbn});
-        assert(erased == 1 && "free block missing from its pool");
-        (void)erased;
+        const PoolEntry e{erase_count, pbn};
+        const auto it = std::lower_bound(pool.begin(), pool.end(), e,
+                                         std::greater<PoolEntry>());
+        assert(it != pool.end() && *it == e &&
+               "free block missing from its pool");
+        pool.erase(it);
         --totalFree_;
         break;
     }
@@ -136,7 +151,7 @@ BlockManager::resetForRebuild(
             state_[b] = State::Closed;
         } else {
             state_[b] = State::Free;
-            pools_[dieOf(b)].insert({erase_counts[b], b});
+            poolInsert({erase_counts[b], b});
             ++totalFree_;
         }
     }

@@ -12,7 +12,7 @@
 #define CHECKIN_FTL_BLOCK_MANAGER_H_
 
 #include <cstdint>
-#include <set>
+#include <utility>
 #include <vector>
 
 #include "ftl/ftl_types.h"
@@ -126,12 +126,20 @@ class BlockManager
         return std::uint32_t(pbn / blocksPerDie_);
     }
 
+    /** Pool entry: wear first, block number breaks ties. */
+    using PoolEntry = std::pair<std::uint32_t, Pbn>;
+
+    /** Insert @p e into its die's pool, keeping the pool order. */
+    void poolInsert(PoolEntry e);
+
     std::uint32_t slotsPerBlock_;
     std::uint64_t blocksPerDie_;
     std::vector<State> state_;
     std::vector<std::uint32_t> valid_;
-    // Per-die (eraseCount, pbn) ordered sets: wear-aware allocation.
-    std::vector<std::set<std::pair<std::uint32_t, Pbn>>> pools_;
+    // Per-die free pools of (eraseCount, pbn), sorted descending so the
+    // least-worn block is at the back (wear-aware allocation pops it).
+    // Capacity is reserved for a whole die, so a pool never allocates.
+    std::vector<std::vector<PoolEntry>> pools_;
     // active_[stream * dieCount + die]
     std::vector<Pbn> active_;
     std::uint64_t totalValid_ = 0;

@@ -89,6 +89,11 @@ Ftl::Ftl(NandFlash &nand, const FtlConfig &cfg)
     refOverflow_.reserve(
         std::size_t(std::max<std::uint64_t>(64, total_slots / 1024)));
 
+    // Fixed-size scratch starts at full size (see ftl.h).
+    mergeScratch_.reserve(sectorsPerUnit_);
+    gcPayload_.reserve(sectorsPerUnit_);
+    gcRefs_.reserve(kInlineRefs);
+
     // Intern the hot-path counters once; per-event updates are then
     // plain array indexing (no per-write string construction).
     sSlotWrites_ = stats_.intern("ftl.slotWrites");
@@ -207,9 +212,13 @@ Ftl::programOpenPage(Stream stream, std::uint32_t die, Tick earliest)
     assert(op.ppn != kInvalidAddr);
     const Ppn ppn = op.ppn;
 
-    PageContent content;
+    // Refill the recycled page buffer; program() hands back the
+    // erased page's storage for the next program.
+    PageContent &content = programBuf_;
+    content.slotTokens.clear();
     content.slotTokens.reserve(slotsPerPage_ * sectorsPerUnit_ *
                                kChunksPerSector);
+    content.oob.clear();
     content.oob.reserve(slotsPerPage_);
     for (std::uint32_t s = 0; s < slotsPerPage_; ++s) {
         const SlotId slot = slotOf(ppn, s);
@@ -223,8 +232,7 @@ Ftl::programOpenPage(Stream stream, std::uint32_t die, Tick earliest)
     }
     pageSeq_[ppn] = nextProgramSeq_++;
     content.seq = pageSeq_[ppn];
-    const NandResult done =
-        nand_.program(ppn, std::move(content), earliest);
+    const NandResult done = nand_.program(ppn, content, earliest);
     // Request-to-completion view of sealing the open page (the die
     // lanes in Cat::Nand show the physical occupancy).
     obs::span(obs::Cat::Ftl, kFtlLane + 1 + die, "ftl.program",
@@ -465,16 +473,18 @@ Ftl::touchMapEntry(Tick earliest)
 }
 
 Tick
-Ftl::readSlotPages(const std::vector<SlotId> &slots, IoCause cause,
-                   Tick earliest)
+Ftl::readSlotPages(const SlotId *slots, std::size_t nslots,
+                   IoCause cause, Tick earliest)
 {
     Tick done = earliest;
-    std::vector<Ppn> pages;
-    pages.reserve(slots.size());
-    for (SlotId s : slots) {
-        if (isBuffered(s))
+    // Ascending distinct pages: the order sets NAND timing and LRU
+    // recency.
+    std::vector<Ppn> &pages = pageScratch_;
+    pages.clear();
+    for (std::size_t i = 0; i < nslots; ++i) {
+        if (isBuffered(slots[i]))
             continue;
-        pages.push_back(pageOfSlot(s));
+        pages.push_back(pageOfSlot(slots[i]));
     }
     std::sort(pages.begin(), pages.end());
     pages.erase(std::unique(pages.begin(), pages.end()), pages.end());
@@ -507,15 +517,22 @@ Ftl::readSectors(Lba lba, std::uint32_t nsect, IoCause cause,
 {
     assert(lba + nsect <= logicalSectors());
     stats_.add(sHostReadSectors_, nsect);
-    std::vector<SlotId> slots;
     const Lpn first = lba / sectorsPerUnit_;
     const Lpn last = (lba + nsect - 1) / sectorsPerUnit_;
     earliest = mapAccessRange(first, last, earliest);
+    gatherSlots(first, last);
+    return readSlotPages(slotScratch_.data(), slotScratch_.size(), cause,
+                         earliest);
+}
+
+void
+Ftl::gatherSlots(Lpn first, Lpn last)
+{
+    slotScratch_.clear();
     for (Lpn u = first; u <= last; ++u) {
         if (map_[u] != kInvalidAddr)
-            slots.push_back(map_[u]);
+            slotScratch_.push_back(map_[u]);
     }
-    return readSlotPages(slots, cause, earliest);
 }
 
 Tick
@@ -541,10 +558,11 @@ Ftl::writeSectors(Lba lba, std::uint32_t nsect, const SectorData *data,
         const bool partial = (s1 - s0) != sectorsPerUnit_;
 
         // Read-modify-write: fetch the rest of the unit first.
-        std::vector<SectorData> merged(sectorsPerUnit_);
+        std::vector<SectorData> &merged = mergeScratch_;
+        merged.assign(sectorsPerUnit_, SectorData{});
         const SlotId old_slot = map_[u];
         if (partial && old_slot != kInvalidAddr) {
-            ack = std::max(ack, readSlotPages({old_slot}, cause,
+            ack = std::max(ack, readSlotPages(&old_slot, 1, cause,
                                               earliest));
             stats_.add(sRmwReads_);
             for (std::uint32_t k = 0; k < sectorsPerUnit_; ++k)
@@ -637,18 +655,14 @@ Tick
 Ftl::copySectors(Lba src, Lba dst, std::uint32_t nsect, IoCause cause,
                  Tick earliest)
 {
-    std::vector<SectorData> buf(nsect);
-    peekSectors(src, nsect, buf.data());
-
-    std::vector<SlotId> slots;
-    const Lpn first = src / sectorsPerUnit_;
-    const Lpn last = (src + nsect - 1) / sectorsPerUnit_;
-    for (Lpn u = first; u <= last; ++u) {
-        if (map_[u] != kInvalidAddr)
-            slots.push_back(map_[u]);
-    }
-    const Tick fetched = readSlotPages(slots, cause, earliest);
-    return writeSectors(dst, nsect, buf.data(), cause, fetched);
+    copyScratch_.resize(nsect);
+    peekSectors(src, nsect, copyScratch_.data());
+    gatherSlots(src / sectorsPerUnit_,
+                (src + nsect - 1) / sectorsPerUnit_);
+    const Tick fetched = readSlotPages(
+        slotScratch_.data(), slotScratch_.size(), cause, earliest);
+    return writeSectors(dst, nsect, copyScratch_.data(), cause,
+                        fetched);
 }
 
 void
@@ -742,13 +756,15 @@ Ftl::reclaimBlock(Pbn victim, Tick earliest)
             if (slotInfo_[old_slot].nrefs == 0)
                 continue;
             // Snapshot payload + references before allocateSlot can
-            // wipe shadows.
-            std::vector<SectorData> payload(sectorsPerUnit_);
-            for (std::uint32_t k = 0; k < sectorsPerUnit_; ++k)
-                payload[k] = sectors_[old_slot * sectorsPerUnit_ + k];
+            // wipe shadows. The scratch is safe across allocateSlot:
+            // reclaimBlock runs only under inGc_, so it never nests.
+            std::vector<SectorData> &payload = gcPayload_;
+            payload.assign(
+                sectors_.begin() + old_slot * sectorsPerUnit_,
+                sectors_.begin() + (old_slot + 1) * sectorsPerUnit_);
             const OobEntry oob = slotOob_[old_slot];
-            std::vector<Lpn> refs;
-            refs.reserve(slotInfo_[old_slot].nrefs);
+            std::vector<Lpn> &refs = gcRefs_;
+            refs.clear();
             forEachRef(old_slot,
                        [&refs](Lpn lpn) { refs.push_back(lpn); });
 

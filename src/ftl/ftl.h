@@ -313,9 +313,13 @@ class Ftl
     /** Account a dirty mapping entry; flush the table when due. */
     void touchMapEntry(Tick earliest);
 
-    /** Read (timing) every distinct flash page backing the slots. */
-    Tick readSlotPages(const std::vector<SlotId> &slots, IoCause cause,
-                       Tick earliest);
+    /** Read (timing) every distinct flash page backing the @p nslots
+     *  slots, in ascending page order. */
+    Tick readSlotPages(const SlotId *slots, std::size_t nslots,
+                       IoCause cause, Tick earliest);
+
+    /** Fill slotScratch_ with the mapped slots of units [first, last]. */
+    void gatherSlots(Lpn first, Lpn last);
 
     /** Inline GC to keep free blocks above the low-water mark. */
     void maybeGc(Tick earliest);
@@ -386,6 +390,29 @@ class Ftl
     FlatLru mapCache_;
     ProgramObserver onProgram_;
     StatRegistry stats_;
+
+    /**
+     * Data-path scratch, reused so host I/O, checkpoint copies, GC
+     * and page programs allocate nothing in steady state.
+     *
+     * Reentrancy rule: a scratch buffer may be live only across calls
+     * that cannot reach another user of the same buffer. allocateSlot()
+     * re-enters the FTL (programOpenPage -> handleProgramFail ->
+     * allocateSlot, maybeGc -> reclaimBlock), so:
+     *  - the host-path buffers are never used on those paths;
+     *  - reclaimBlock's buffers are safe because it runs only under
+     *    inGc_ and so never nests;
+     *  - programBuf_ is done with before handleProgramFail runs;
+     *  - handleProgramFail itself can nest and keeps locals.
+     * A new user of a buffer must keep to this or get its own buffer.
+     */
+    std::vector<Ppn> pageScratch_;         //!< readSlotPages
+    std::vector<SlotId> slotScratch_;      //!< gatherSlots -> readSlotPages
+    std::vector<SectorData> mergeScratch_; //!< writeSectors RMW unit
+    std::vector<SectorData> copyScratch_;  //!< copySectors payload
+    std::vector<SectorData> gcPayload_;    //!< reclaimBlock slot copy
+    std::vector<Lpn> gcRefs_;              //!< reclaimBlock slot refs
+    PageContent programBuf_;               //!< programOpenPage (swap)
 
     /** Single trace lane for FTL-level events (Cat::Ftl). */
     static constexpr std::uint32_t kFtlLane = 0;

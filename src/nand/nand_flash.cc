@@ -4,10 +4,25 @@
 #include <cassert>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "obs/attribution.h"
 
 namespace checkin {
+
+namespace {
+
+/** Empty a page's content but keep its buffers for the next program
+ *  (see program). */
+void
+clearPage(PageContent &page)
+{
+    page.slotTokens.clear();
+    page.oob.clear();
+    page.seq = 0;
+}
+
+} // namespace
 
 NandFlash::NandFlash(const NandConfig &cfg)
     : cfg_(cfg),
@@ -112,7 +127,7 @@ NandFlash::read(Ppn ppn, Tick earliest)
 }
 
 NandResult
-NandFlash::program(Ppn ppn, PageContent content, Tick earliest)
+NandFlash::program(Ppn ppn, PageContent &content, Tick earliest)
 {
     assert(ppn < pages_.size());
     const Pbn pbn = ppn / cfg_.pagesPerBlock;
@@ -132,7 +147,9 @@ NandFlash::program(Ppn ppn, PageContent content, Tick earliest)
     // indeterminate state and in-order programming cannot reuse it.
     // It reads back empty (no valid OOB), so SPOR rebuild skips it.
     blk.nextPage = page + 1;
-    pages_[ppn] = failed ? PageContent{} : std::move(content);
+    std::swap(pages_[ppn], content);
+    if (failed)
+        clearPage(pages_[ppn]);
     stats_.add(sPrograms_);
     if (failed)
         stats_.add(sProgramFails_);
@@ -197,7 +214,7 @@ NandFlash::eraseBlock(Pbn pbn, Tick earliest)
         faults_->eraseFails(pbn, blk.eraseCount, cfg_.maxPeCycles);
     if (!failed) {
         for (std::uint32_t p = 0; p < blk.nextPage; ++p)
-            pages_[first + p] = PageContent{};
+            clearPage(pages_[first + p]);
         blk.nextPage = 0;
     }
     // The erase attempt consumes a P/E cycle either way.

@@ -61,10 +61,15 @@ class NandFlash
      * unprogrammed page of its block (NAND in-order rule). A failed
      * program consumes the page — it stays unreadable (empty OOB)
      * until the block is erased, and the block should be retired.
-     * @param content slot tokens + OOB to persist.
+     * @param content slot tokens + OOB to persist. It is swapped into
+     *        the page, and on return holds the page's previous
+     *        storage: empty, but keeping the capacity it had before
+     *        the page was erased. A caller that refills the same
+     *        PageContent for every program allocates nothing once
+     *        every page has been erased once.
      * @return completion tick + status.
      */
-    NandResult program(Ppn ppn, PageContent content, Tick earliest);
+    NandResult program(Ppn ppn, PageContent &content, Tick earliest);
 
     /**
      * Erase a block. A failed erase leaves the previous contents in

@@ -9,15 +9,19 @@
  * Hot paths should intern() their counter names once (typically in
  * the owning module's constructor) and update through the returned
  * StatId: an interned add is a plain array index instead of a
- * std::map string lookup per event.
+ * std::map string lookup per event. The string-keyed calls take a
+ * std::string_view and look it up heterogeneously, so they never
+ * build a std::string except when creating a counter.
  */
 
 #ifndef CHECKIN_SIM_STATS_H_
 #define CHECKIN_SIM_STATS_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace checkin {
@@ -34,13 +38,15 @@ class StatRegistry
      * same name always returns the same id.
      */
     StatId
-    intern(const std::string &name)
+    intern(std::string_view name)
     {
-        auto [it, inserted] =
-            index_.try_emplace(name, StatId(values_.size()));
-        if (inserted)
-            values_.push_back(0);
-        return it->second;
+        auto it = index_.lower_bound(name);
+        if (it != index_.end() && it->first == name)
+            return it->second;
+        const StatId id = StatId(values_.size());
+        index_.emplace_hint(it, std::string(name), id);
+        values_.push_back(0);
+        return id;
     }
 
     /** Add @p delta to the interned counter @p id. */
@@ -62,21 +68,21 @@ class StatRegistry
 
     /** Add @p delta to counter @p name, creating it at zero. */
     void
-    add(const std::string &name, std::uint64_t delta = 1)
+    add(std::string_view name, std::uint64_t delta = 1)
     {
         values_[intern(name)] += delta;
     }
 
     /** Set counter @p name to @p value. */
     void
-    set(const std::string &name, std::uint64_t value)
+    set(std::string_view name, std::uint64_t value)
     {
         values_[intern(name)] = value;
     }
 
     /** Read counter @p name; zero when absent. */
     std::uint64_t
-    get(const std::string &name) const
+    get(std::string_view name) const
     {
         auto it = index_.find(name);
         return it == index_.end() ? 0 : values_[it->second];
@@ -107,8 +113,40 @@ class StatRegistry
     std::string dump(const std::string &prefix = "") const;
 
   private:
-    std::map<std::string, StatId> index_;
+    /** Transparent comparator: string_view lookups, no temporaries. */
+    std::map<std::string, StatId, std::less<>> index_;
     std::vector<std::uint64_t> values_;
+};
+
+/**
+ * Counter of one registry, interned on its first update. Until it
+ * fires the counter stays out of all()/dump(), exactly like a
+ * string-keyed add; every later update is an array index. Use it
+ * instead of interning in a constructor when the registry's key set
+ * ends up in an artifact and the counter may never fire in a run.
+ */
+class LazyStat
+{
+  public:
+    LazyStat(StatRegistry &stats, const char *name)
+        : stats_(stats), name_(name)
+    {
+    }
+
+    /** Add @p delta, creating the counter on the first call. */
+    void
+    add(std::uint64_t delta = 1)
+    {
+        if (id_ == kUnset)
+            id_ = stats_.intern(name_);
+        stats_.add(id_, delta);
+    }
+
+  private:
+    static constexpr StatId kUnset = ~StatId{0};
+    StatRegistry &stats_;
+    const char *name_;
+    StatId id_ = kUnset;
 };
 
 } // namespace checkin

@@ -31,18 +31,20 @@ Isce::copyRecord(const CowPair &pair, Tick start)
     // chunk run, and rewrite it at the destination (chunk 0 aligned).
     const std::uint32_t src_sectors = pair.srcSectors();
     const std::uint32_t dst_sectors = pair.dstSectors();
-    std::vector<SectorData> src_buf(src_sectors);
-    ftl_.peekSectors(pair.src, src_sectors, src_buf.data());
+    srcScratch_.resize(src_sectors);
+    ftl_.peekSectors(pair.src, src_sectors, srcScratch_.data());
     const Tick fetched =
         ftl_.readSectors(pair.src, src_sectors, IoCause::Checkpoint,
                          start);
-    std::vector<SectorData> dst_buf(dst_sectors);
+    // Chunks past the record stay empty in the destination.
+    dstScratch_.assign(dst_sectors, SectorData{});
     for (std::uint32_t c = 0; c < pair.chunks; ++c) {
         const std::uint32_t s = pair.srcChunkShift + c;
-        dst_buf[c / kChunksPerSector].chunks[c % kChunksPerSector] =
-            src_buf[s / kChunksPerSector].chunks[s % kChunksPerSector];
+        dstScratch_[c / kChunksPerSector].chunks[c % kChunksPerSector] =
+            srcScratch_[s / kChunksPerSector]
+                .chunks[s % kChunksPerSector];
     }
-    return ftl_.writeSectors(pair.dst, dst_sectors, dst_buf.data(),
+    return ftl_.writeSectors(pair.dst, dst_sectors, dstScratch_.data(),
                              IoCause::Checkpoint, fetched,
                              pair.version);
 }
@@ -52,8 +54,8 @@ Isce::bufferSmallRecord(const CowPair &pair, Tick start)
 {
     // Gather the record's chunks from the journal into device DRAM.
     const std::uint32_t src_sectors = pair.srcSectors();
-    std::vector<SectorData> src_buf(src_sectors);
-    ftl_.peekSectors(pair.src, src_sectors, src_buf.data());
+    srcScratch_.resize(src_sectors);
+    ftl_.peekSectors(pair.src, src_sectors, srcScratch_.data());
     // Sources may themselves sit in the buffer of a previous round
     // (they do not: sources are journal LBAs, never buffered).
     const Tick fetched = ftl_.readSectors(
@@ -66,7 +68,7 @@ Isce::bufferSmallRecord(const CowPair &pair, Tick start)
             if (idx >= pair.chunks)
                 break;
             const std::uint32_t pos = pair.srcChunkShift + idx;
-            out.chunks[c] = src_buf[pos / kChunksPerSector]
+            out.chunks[c] = srcScratch_[pos / kChunksPerSector]
                                 .chunks[pos % kChunksPerSector];
         }
         // Replacing an existing entry elides the previous version's
@@ -74,13 +76,13 @@ Isce::bufferSmallRecord(const CowPair &pair, Tick start)
         auto it = smallBuf_.find(pair.dst + s);
         if (it != smallBuf_.end()) {
             it->second = BufferedSector{out, pair.version};
-            stats_.add("isce.elidedSmallWrites");
+            sElidedWrites_.add();
         } else {
             smallBuf_.emplace(pair.dst + s,
                               BufferedSector{out, pair.version});
         }
     }
-    stats_.add("isce.bufferedSmallRecords");
+    sBufferedRecords_.add();
     if (obs::traceOn()) {
         obs::instant(obs::Cat::Ssd, kIsceLane, "isce.buffer",
                      fetched, {{"chunks", pair.chunks}});
@@ -96,49 +98,46 @@ Isce::flushSmallBuffer(Tick start)
     // Aggregate: coalesce contiguous sectors into single writes so a
     // multi-sector record (or adjacent records) costs one pass
     // through the FTL instead of per-sector read-modify-writes.
-    std::vector<Lba> lbas;
-    lbas.reserve(smallBuf_.size());
-    for (const auto &[lba, data] : smallBuf_)
-        lbas.push_back(lba);
-    std::sort(lbas.begin(), lbas.end());
+    flushOrder_.clear();
+    for (const auto &[lba, entry] : smallBuf_)
+        flushOrder_.emplace_back(lba, &entry);
+    std::sort(flushOrder_.begin(), flushOrder_.end());
 
     Tick done = start;
     std::size_t i = 0;
     const std::uint32_t spu = ftl_.sectorsPerUnit();
-    while (i < lbas.size()) {
+    while (i < flushOrder_.size()) {
         std::size_t j = i + 1;
-        while (j < lbas.size() && lbas[j] == lbas[j - 1] + 1)
+        while (j < flushOrder_.size() &&
+               flushOrder_[j].first == flushOrder_[j - 1].first + 1)
             ++j;
-        std::vector<SectorData> run;
-        run.reserve(j - i);
-        std::uint64_t run_version = 0;
-        for (std::size_t k = i; k < j; ++k) {
-            const BufferedSector &b = smallBuf_.at(lbas[k]);
-            run.push_back(b.data);
-            run_version = std::max(run_version, b.version);
-        }
         // Per-unit OOB carries the buffered versions so a power-loss
         // rebuild ranks these writes correctly against journal
         // annotations.
-        const Lpn first_unit = lbas[i] / spu;
-        const std::uint64_t units =
-            (lbas[i] + run.size() - 1) / spu - first_unit + 1;
-        std::vector<OobEntry> unit_oob(units);
+        const Lba run_lba = flushOrder_[i].first;
+        const Lpn first_unit = run_lba / spu;
+        flushOob_.assign(flushOrder_[j - 1].first / spu - first_unit + 1,
+                         OobEntry{});
+        flushRun_.clear();
+        std::uint64_t run_version = 0;
         for (std::size_t k = i; k < j; ++k) {
-            const std::uint64_t u = lbas[k] / spu - first_unit;
-            unit_oob[u].version = std::max(
-                unit_oob[u].version, smallBuf_.at(lbas[k]).version);
+            const auto &[lba, b] = flushOrder_[k];
+            flushRun_.push_back(b->data);
+            run_version = std::max(run_version, b->version);
+            std::uint64_t &unit_version =
+                flushOob_[lba / spu - first_unit].version;
+            unit_version = std::max(unit_version, b->version);
         }
         done = std::max(
-            done, ftl_.writeSectors(lbas[i],
-                                    std::uint32_t(run.size()),
-                                    run.data(), IoCause::Checkpoint,
-                                    start, run_version,
-                                    unit_oob.data()));
+            done, ftl_.writeSectors(run_lba,
+                                    std::uint32_t(flushRun_.size()),
+                                    flushRun_.data(),
+                                    IoCause::Checkpoint, start,
+                                    run_version, flushOob_.data()));
         i = j;
     }
-    stats_.add("isce.smallBufferFlushes");
-    stats_.add("isce.flushedSmallSectors", smallBuf_.size());
+    sBufferFlushes_.add();
+    sFlushedSectors_.add(smallBuf_.size());
     if (obs::traceOn()) {
         obs::span(obs::Cat::Ssd, kIsceLane, "isce.flush", start, done,
                   {{"sectors", smallBuf_.size()}});
@@ -200,8 +199,8 @@ Isce::checkpoint(const std::vector<CowPair> &pairs, Tick start,
                 t_pair = std::max(
                     t_pair, ftl_.remapUnit(src0 + u, dst0 + u, t));
             }
-            stats_.add("isce.remappedPairs");
-            stats_.add("isce.remappedUnits", units);
+            sRemappedPairs_.add();
+            sRemappedUnits_.add(units);
             obs::instant(obs::Cat::Ssd, kIsceLane, "isce.remap", t,
                          {{"units", units}});
             done = std::max(done, t_pair);
@@ -219,8 +218,8 @@ Isce::checkpoint(const std::vector<CowPair> &pairs, Tick start,
             obs::span(obs::Cat::Ssd, kIsceLane, "isce.copy", t,
                       copied, {{"chunks", pair.chunks}});
             done = std::max(done, copied);
-            stats_.add("isce.copiedPairs");
-            stats_.add("isce.copiedChunks", pair.chunks);
+            sCopiedPairs_.add();
+            sCopiedChunks_.add(pair.chunks);
         }
     }
     if (smallBuf_.size() >= cfg_.smallBufferSectors &&
@@ -233,13 +232,13 @@ Isce::checkpoint(const std::vector<CowPair> &pairs, Tick start,
 std::uint32_t
 Isce::onLogsDeleted(Tick now)
 {
-    stats_.add("isce.logDeletions");
+    sLogDeletions_.add();
     // The deallocator only steals the flash array for GC when it is
     // idle (paper §III-F): under load the reclaim is deferred.
     if (ftl_.nand().allIdleAt() > now)
         return 0;
     const std::uint32_t reclaimed = ftl_.runBackgroundGc(now);
-    stats_.add("isce.idleGcBlocks", reclaimed);
+    sIdleGcBlocks_.add(reclaimed);
     return reclaimed;
 }
 

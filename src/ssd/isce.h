@@ -20,6 +20,7 @@
 
 #include <cstdint>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "ftl/ftl.h"
@@ -118,6 +119,34 @@ class Isce
     const SsdConfig &cfg_;
     StatRegistry &stats_;
     std::unordered_map<Lba, BufferedSector> smallBuf_;
+
+    /**
+     * Per-record scratch, reused so the copy path allocates nothing
+     * in steady state. Rule: a scratch buffer is live only inside the
+     * method that fills it, and never across a call that can re-enter
+     * a user of the same buffer. The FTL calls made while they are
+     * live never call back into the ISCE, so the rule holds here.
+     */
+    std::vector<SectorData> srcScratch_;  //!< copy/buffer source run
+    std::vector<SectorData> dstScratch_;  //!< copyRecord destination
+    /** flushSmallBuffer: (lba, entry) sorted by lba, plus the coalesced
+     *  run and its per-unit OOB. */
+    std::vector<std::pair<Lba, const BufferedSector *>> flushOrder_;
+    std::vector<SectorData> flushRun_;
+    std::vector<OobEntry> flushOob_;
+
+    // Hot-path counters, interned on first use so a run that never
+    // takes a path keeps its counters out of the artifacts.
+    LazyStat sRemappedPairs_{stats_, "isce.remappedPairs"};
+    LazyStat sRemappedUnits_{stats_, "isce.remappedUnits"};
+    LazyStat sCopiedPairs_{stats_, "isce.copiedPairs"};
+    LazyStat sCopiedChunks_{stats_, "isce.copiedChunks"};
+    LazyStat sBufferedRecords_{stats_, "isce.bufferedSmallRecords"};
+    LazyStat sElidedWrites_{stats_, "isce.elidedSmallWrites"};
+    LazyStat sBufferFlushes_{stats_, "isce.smallBufferFlushes"};
+    LazyStat sFlushedSectors_{stats_, "isce.flushedSmallSectors"};
+    LazyStat sLogDeletions_{stats_, "isce.logDeletions"};
+    LazyStat sIdleGcBlocks_{stats_, "isce.idleGcBlocks"};
 };
 
 } // namespace checkin

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <functional>
 #include <string>
 #include <utility>
 
@@ -26,6 +27,26 @@ cmdTypeName(CmdType type)
     return "unknown";
 }
 
+namespace {
+
+/** Insert @p t into the completion-tick min-heap @p heap. */
+void
+pushTick(std::vector<Tick> &heap, Tick t)
+{
+    heap.push_back(t);
+    std::push_heap(heap.begin(), heap.end(), std::greater<Tick>());
+}
+
+/** Remove the earliest tick of the min-heap @p heap. */
+void
+popTick(std::vector<Tick> &heap)
+{
+    std::pop_heap(heap.begin(), heap.end(), std::greater<Tick>());
+    heap.pop_back();
+}
+
+} // namespace
+
 Ssd::Ssd(SimContext &ctx, const NandConfig &nand_cfg,
          const FtlConfig &ftl_cfg, const SsdConfig &ssd_cfg)
     : ctx_(ctx),
@@ -37,11 +58,15 @@ Ssd::Ssd(SimContext &ctx, const NandConfig &nand_cfg,
 {
     // Hostile hardware, if this run has any, comes from the context.
     nand_.setFaultPlan(ctx.faults());
+    // Both heaps are bounded (program observer trim, queue-depth
+    // admission), so reserving the bound keeps them allocation-free.
+    inflightPrograms_.reserve(4 * std::size_t(cfg_.writeBufferPages) + 1);
+    inflightCommands_.reserve(std::size_t(cfg_.queueDepth) + 1);
     ftl_.setProgramObserver([this](Tick done) {
-        inflightPrograms_.insert(done);
-        // Bound the set: fully drained entries are useless.
+        pushTick(inflightPrograms_, done);
+        // Bound the heap: fully drained entries are useless.
         while (inflightPrograms_.size() > 4 * cfg_.writeBufferPages)
-            inflightPrograms_.erase(inflightPrograms_.begin());
+            popTick(inflightPrograms_);
     });
     for (std::size_t c = 0; c < kCmdTypeCount; ++c) {
         sCmd_[c] = stats_.intern(
@@ -101,13 +126,13 @@ Ssd::applyWriteBackpressure(Tick ack)
 {
     // Drop programs that have drained by the ack time.
     while (!inflightPrograms_.empty() &&
-           *inflightPrograms_.begin() <= ack) {
-        inflightPrograms_.erase(inflightPrograms_.begin());
+           inflightPrograms_.front() <= ack) {
+        popTick(inflightPrograms_);
     }
     // If the buffer is over capacity, the ack waits for drains.
     while (inflightPrograms_.size() >= cfg_.writeBufferPages) {
-        const Tick drain = *inflightPrograms_.begin();
-        inflightPrograms_.erase(inflightPrograms_.begin());
+        const Tick drain = inflightPrograms_.front();
+        popTick(inflightPrograms_);
         if (drain > ack) {
             ack = drain;
             stats_.add(sWriteStalls_);
@@ -123,13 +148,13 @@ Ssd::admitCommand(Tick now)
 {
     // Retire completions that have drained by now.
     while (!inflightCommands_.empty() &&
-           *inflightCommands_.begin() <= now) {
-        inflightCommands_.erase(inflightCommands_.begin());
+           inflightCommands_.front() <= now) {
+        popTick(inflightCommands_);
     }
     Tick admission = now;
     while (inflightCommands_.size() >= cfg_.queueDepth) {
-        admission = std::max(admission, *inflightCommands_.begin());
-        inflightCommands_.erase(inflightCommands_.begin());
+        admission = std::max(admission, inflightCommands_.front());
+        popTick(inflightCommands_);
         stats_.add(sQueueFullStalls_);
     }
     if (admission > now) {
@@ -291,7 +316,7 @@ Ssd::submit(Command cmd, Completion cb)
 {
     const CmdResult res = processCommand(cmd);
     assert(res.tick >= eq_.now());
-    inflightCommands_.insert(res.tick);
+    pushTick(inflightCommands_, res.tick);
     // Park the callback in a pooled slot: the scheduled event then
     // captures {this, idx} (16 bytes), so neither the event nor the
     // completion ever heap-allocates in steady state.
@@ -325,7 +350,7 @@ Tick
 Ssd::submitSync(const Command &cmd)
 {
     const CmdResult res = processCommand(cmd);
-    inflightCommands_.insert(res.tick);
+    pushTick(inflightCommands_, res.tick);
     return res.require();
 }
 

@@ -15,7 +15,6 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
-#include <set>
 #include <vector>
 
 #include "ftl/ftl.h"
@@ -150,8 +149,12 @@ class Ssd
     /** Telemetry sampler of the run (nullptr: telemetry off). */
     obs::TelemetrySampler *telem_ = nullptr;
     Isce isce_;
-    std::multiset<Tick> inflightPrograms_;
-    std::multiset<Tick> inflightCommands_;
+    /** Min-heaps of in-flight program / command completion ticks.
+     *  Insert, min and pop-min are the only operations, so equal ticks
+     *  are interchangeable and the ticks seen are exactly those of a
+     *  sorted multiset. */
+    std::vector<Tick> inflightPrograms_;
+    std::vector<Tick> inflightCommands_;
 
     /** In-flight completion slot: pooled so the scheduled event only
      *  captures {this, index} and stays inline. */

@@ -236,14 +236,16 @@ TEST(NandFaults, RecoveredReadChargesRetrySenseTime)
     ASSERT_LE(fails, fc.readRetryMax);
 
     NandFlash clean(nc);
-    const Tick prog = clean.program(0, contentWith(7), 0).tick;
+    PageContent clean_page = contentWith(7);
+    const Tick prog = clean.program(0, clean_page, 0).tick;
     const NandResult clean_read = clean.read(0, prog);
     ASSERT_TRUE(clean_read.ok());
 
     NandFlash faulty(nc);
     FaultPlan plan(fc, seed);
     faulty.setFaultPlan(&plan);
-    ASSERT_EQ(faulty.program(0, contentWith(7), 0).tick, prog);
+    PageContent faulty_page = contentWith(7);
+    ASSERT_EQ(faulty.program(0, faulty_page, 0).tick, prog);
     const NandResult r = faulty.read(0, prog);
     EXPECT_TRUE(r.ok());
     // Each failed sensing attempt extends the die phase; the channel
@@ -264,7 +266,8 @@ TEST(NandFaults, UncorrectableReadSkipsChannelTransfer)
     FaultPlan plan(fc, 1);
     NandFlash nand(nc);
     nand.setFaultPlan(&plan);
-    const Tick prog = nand.program(0, contentWith(9), 0).tick;
+    PageContent page = contentWith(9);
+    const Tick prog = nand.program(0, page, 0).tick;
     const NandResult r = nand.read(0, prog);
     EXPECT_EQ(r.status, NandStatus::Uncorrectable);
     EXPECT_FALSE(r.ok());
@@ -285,7 +288,8 @@ TEST(NandFaults, ProgramFailConsumesThePage)
     FaultPlan plan(fc, 2);
     NandFlash nand(tinyNand());
     nand.setFaultPlan(&plan);
-    const NandResult r1 = nand.program(0, contentWith(1), 0);
+    PageContent p0 = contentWith(1);
+    const NandResult r1 = nand.program(0, p0, 0);
     EXPECT_EQ(r1.status, NandStatus::ProgramFailed);
     // The page is consumed (in-order rule) but reads back empty.
     EXPECT_EQ(nand.nextProgramPage(0), 1u);
@@ -293,7 +297,8 @@ TEST(NandFaults, ProgramFailConsumesThePage)
     EXPECT_TRUE(nand.peek(0).slotTokens.empty());
     EXPECT_TRUE(nand.peek(0).oob.empty());
     // The cap is exhausted: the next program succeeds.
-    const NandResult r2 = nand.program(1, contentWith(2), r1.tick);
+    PageContent p1 = contentWith(2);
+    const NandResult r2 = nand.program(1, p1, r1.tick);
     EXPECT_TRUE(r2.ok());
     EXPECT_EQ(nand.peek(1).slotTokens.at(0), 2u);
 }
@@ -307,7 +312,8 @@ TEST(NandFaults, EraseFailLeavesContentsAndConsumesPeCycle)
     FaultPlan plan(fc, 2);
     NandFlash nand(tinyNand());
     nand.setFaultPlan(&plan);
-    const Tick prog = nand.program(0, contentWith(5), 0).tick;
+    PageContent page = contentWith(5);
+    const Tick prog = nand.program(0, page, 0).tick;
     const NandResult r1 = nand.eraseBlock(0, prog);
     EXPECT_EQ(r1.status, NandStatus::EraseFailed);
     EXPECT_EQ(nand.peek(0).slotTokens.at(0), 5u);

@@ -27,7 +27,14 @@ struct FormatCase
     std::uint32_t unitBytes;
     std::uint32_t wantChunks;
     LogType wantType;
+    // CTest names each case after the parameter's raw bytes (a struct
+    // without a printer is dumped as "16-byte object <..>"), so the
+    // three bytes after wantType are spelled out. Left as padding they
+    // picked up stack garbage and the names changed from run to run;
+    // these values keep the names already on record.
+    std::uint8_t nameBytes[3];
 };
+static_assert(sizeof(FormatCase) == 16, "names dump all 16 bytes");
 
 class FormatAligned : public ::testing::TestWithParam<FormatCase>
 {
@@ -47,31 +54,47 @@ INSTANTIATE_TEST_SUITE_P(
     Unit512, FormatAligned,
     ::testing::Values(
         // <= unit: bucketed to unit/4 = 128 B steps.
-        FormatCase{1, 512, 1, LogType::Partial},
-        FormatCase{128, 512, 1, LogType::Partial},
-        FormatCase{129, 512, 2, LogType::Partial},
-        FormatCase{256, 512, 2, LogType::Partial},
-        FormatCase{384, 512, 3, LogType::Partial},
-        FormatCase{385, 512, 4, LogType::Full},
-        FormatCase{512, 512, 4, LogType::Full},
+        FormatCase{1, 512, 1, LogType::Partial,
+                   {0xFF, 0xFF, 0xFF}},
+        FormatCase{128, 512, 1, LogType::Partial,
+                   {0x00, 0x00, 0x00}},
+        FormatCase{129, 512, 2, LogType::Partial,
+                   {0xEF, 0x4D, 0x00}},
+        FormatCase{256, 512, 2, LogType::Partial,
+                   {0xEF, 0x4D, 0x00}},
+        FormatCase{384, 512, 3, LogType::Partial,
+                   {0xFF, 0xFF, 0xFF}},
+        FormatCase{385, 512, 4, LogType::Full,
+                   {0xEF, 0x4D, 0x00}},
+        FormatCase{512, 512, 4, LogType::Full,
+                   {0xFF, 0xFF, 0xFF}},
         // > unit: compressed by 0.85, then unit aligned.
         // 1024 * 0.85 = 871 -> 2 units = 8 chunks.
-        FormatCase{1024, 512, 8, LogType::Full},
+        FormatCase{1024, 512, 8, LogType::Full,
+                   {0x00, 0x00, 0x00}},
         // 4096 * 0.85 = 3482 -> 7 units = 28 chunks.
-        FormatCase{4096, 512, 28, LogType::Full},
+        FormatCase{4096, 512, 28, LogType::Full,
+                   {0x00, 0x00, 0x00}},
         // 513 * 0.85 = 437 -> 1 unit.
-        FormatCase{513, 512, 4, LogType::Full}));
+        FormatCase{513, 512, 4, LogType::Full,
+                   {0x7F, 0x00, 0x00}}));
 
 INSTANTIATE_TEST_SUITE_P(
     Unit4096, FormatAligned,
     ::testing::Values(
         // Buckets of 1024 B = 8 chunks.
-        FormatCase{128, 4096, 8, LogType::Partial},
-        FormatCase{1024, 4096, 8, LogType::Partial},
-        FormatCase{1025, 4096, 16, LogType::Partial},
-        FormatCase{3072, 4096, 24, LogType::Partial},
-        FormatCase{3073, 4096, 32, LogType::Full},
-        FormatCase{4096, 4096, 32, LogType::Full}));
+        FormatCase{128, 4096, 8, LogType::Partial,
+                   {0xEF, 0x4D, 0x00}},
+        FormatCase{1024, 4096, 8, LogType::Partial,
+                   {0xFF, 0xFF, 0xFF}},
+        FormatCase{1025, 4096, 16, LogType::Partial,
+                   {0x55, 0x00, 0x00}},
+        FormatCase{3072, 4096, 24, LogType::Partial,
+                   {0x55, 0x00, 0x00}},
+        FormatCase{3073, 4096, 32, LogType::Full,
+                   {0x7F, 0x00, 0x00}},
+        FormatCase{4096, 4096, 32, LogType::Full,
+                   {0x55, 0x00, 0x00}}));
 
 TEST(FormatConventional, StoresRawChunkCount)
 {

@@ -72,7 +72,8 @@ TEST(NandConfigTest, GeometryMath)
 TEST(NandFlash, ProgramThenReadRoundTrips)
 {
     NandFlash nand(tinyConfig());
-    nand.program(0, contentWith(0xabc), 0);
+    PageContent c = contentWith(0xabc);
+    nand.program(0, c, 0);
     EXPECT_TRUE(nand.isProgrammed(0));
     EXPECT_EQ(nand.peek(0).slotTokens[0], 0xabcu);
 }
@@ -80,35 +81,41 @@ TEST(NandFlash, ProgramThenReadRoundTrips)
 TEST(NandFlash, InOrderProgrammingEnforced)
 {
     NandFlash nand(tinyConfig());
-    nand.program(0, contentWith(1), 0);
+    PageContent c0 = contentWith(1);
+    nand.program(0, c0, 0);
     // Page 2 before page 1 violates the in-order rule.
-    EXPECT_THROW(nand.program(2, contentWith(2), 0),
-                 std::logic_error);
-    nand.program(1, contentWith(2), 0);
+    PageContent c2 = contentWith(2);
+    EXPECT_THROW(nand.program(2, c2, 0), std::logic_error);
+    PageContent c1 = contentWith(2);
+    nand.program(1, c1, 0);
     EXPECT_EQ(nand.nextProgramPage(0), 2u);
 }
 
 TEST(NandFlash, RewriteWithoutEraseRejected)
 {
     NandFlash nand(tinyConfig());
-    nand.program(0, contentWith(1), 0);
-    EXPECT_THROW(nand.program(0, contentWith(2), 0),
-                 std::logic_error);
+    PageContent first = contentWith(1);
+    nand.program(0, first, 0);
+    PageContent second = contentWith(2);
+    EXPECT_THROW(nand.program(0, second, 0), std::logic_error);
 }
 
 TEST(NandFlash, EraseResetsBlock)
 {
     NandFlash nand(tinyConfig());
     const NandConfig cfg = tinyConfig();
-    for (std::uint32_t p = 0; p < cfg.pagesPerBlock; ++p)
-        nand.program(p, contentWith(p), 0);
+    for (std::uint32_t p = 0; p < cfg.pagesPerBlock; ++p) {
+        PageContent c = contentWith(p);
+        nand.program(p, c, 0);
+    }
     EXPECT_EQ(nand.nextProgramPage(0), cfg.pagesPerBlock);
     nand.eraseBlock(0, 0);
     EXPECT_EQ(nand.nextProgramPage(0), 0u);
     EXPECT_FALSE(nand.isProgrammed(0));
     EXPECT_EQ(nand.eraseCount(0), 1u);
     // Re-programming after erase works.
-    nand.program(0, contentWith(7), 0);
+    PageContent again = contentWith(7);
+    nand.program(0, again, 0);
     EXPECT_EQ(nand.peek(0).slotTokens[0], 7u);
 }
 
@@ -116,7 +123,8 @@ TEST(NandFlash, TimingReadIsSenseThenTransfer)
 {
     const NandConfig cfg = tinyConfig();
     NandFlash nand(cfg);
-    nand.program(0, contentWith(1), 0);
+    PageContent c = contentWith(1);
+    nand.program(0, c, 0);
     const Tick idle = nand.allIdleAt();
     const Tick done = nand.read(0, idle).tick;
     EXPECT_EQ(done, idle + cfg.readLatency + cfg.pageTransferTime());
@@ -126,8 +134,10 @@ TEST(NandFlash, TimingSameDieSerializes)
 {
     const NandConfig cfg = tinyConfig();
     NandFlash nand(cfg);
-    nand.program(0, contentWith(1), 0);
-    nand.program(1, contentWith(2), 0);
+    PageContent c0 = contentWith(1);
+    nand.program(0, c0, 0);
+    PageContent c1 = contentWith(2);
+    nand.program(1, c1, 0);
     const Tick idle = nand.allIdleAt();
     const Tick r1 = nand.read(0, idle).tick;
     const Tick r2 = nand.read(1, idle).tick;
@@ -143,8 +153,10 @@ TEST(NandFlash, TimingDifferentDiesOverlap)
     // Block 0 is die 0; the last block lives on the last die.
     const Ppn other_die_page =
         (cfg.totalBlocks() - 1) * cfg.pagesPerBlock;
-    nand.program(0, contentWith(1), 0);
-    nand.program(other_die_page, contentWith(2), 0);
+    PageContent c0 = contentWith(1);
+    nand.program(0, c0, 0);
+    PageContent c1 = contentWith(2);
+    nand.program(other_die_page, c1, 0);
     const Tick idle = nand.allIdleAt();
     const Tick r1 = nand.read(0, idle).tick;
     const Tick r2 = nand.read(other_die_page, idle).tick;
@@ -155,7 +167,8 @@ TEST(NandFlash, TimingDifferentDiesOverlap)
 TEST(NandFlash, StatsCount)
 {
     NandFlash nand(tinyConfig());
-    nand.program(0, contentWith(1), 0);
+    PageContent c = contentWith(1);
+    nand.program(0, c, 0);
     nand.read(0, 0);
     nand.read(0, 0);
     const StatRegistry &s = nand.stats();

@@ -279,5 +279,61 @@ TEST_F(SsdTest, CommandStatsTracked)
     EXPECT_EQ(ssd_->stats().get("ssd.cmd.trim"), 1u);
 }
 
+TEST(SsdAdmission, GoldenAckTicksUnderBackpressure)
+{
+    // Pins the front end's admission and write-backpressure queues
+    // (in-flight program and command completion ticks) to ticks
+    // recorded when they were sorted multisets, so their min-heap
+    // form is shown to be order-preserving. Both dies program in
+    // lockstep, so every program completion tick is duplicated, and
+    // burst 1 alone issues 10 programs before the first completes
+    // (> 4 x writeBufferPages, the bound on the program queue).
+    SsdConfig cfg;
+    cfg.writeBufferPages = 2;
+    cfg.queueDepth = 4;
+    FtlConfig ftl_cfg;
+    SimContext ctx;
+    EventQueue &eq = ctx.events();
+    Ssd ssd(ctx, smallNand(), ftl_cfg, cfg);
+
+    std::vector<Tick> acks;
+    const auto record = [&acks](std::size_t i) {
+        return [&acks, i](const CmdResult &r) { acks[i] = r.require(); };
+    };
+    // Burst 1 at t=0: 12 full-page writes (8 sectors each) plus reads
+    // of what was just written, all queued at once.
+    for (std::size_t i = 0; i < 12; ++i) {
+        acks.push_back(0);
+        ssd.submit(Command::write(Lba(i) * 8, sectors(i, 8),
+                                  IoCause::Query),
+                   record(acks.size() - 1));
+        if (i % 3 == 2) {
+            acks.push_back(0);
+            ssd.submit(Command::read(Lba(i - 1) * 8, 8),
+                       record(acks.size() - 1));
+        }
+    }
+    // Burst 2 lands while burst 1's programs are still draining.
+    eq.schedule(700 * kUsec, [&] {
+        for (std::size_t i = 0; i < 6; ++i) {
+            acks.push_back(0);
+            ssd.submit(Command::write(Lba(100 + i) * 8,
+                                      sectors(50 + i, 8),
+                                      IoCause::Query),
+                       record(acks.size() - 1));
+        }
+    });
+    eq.run();
+
+    const std::vector<Tick> expected = {
+        5280,    9280,    623520,  18280,   21280,   1223520,
+        29280,   34280,   1823520, 41280,   2423520, 629800,
+        635080,  3023520, 1228800, 1235080, 3623520, 1828800,
+        4223520, 2428800, 4823520, 3028800};
+    EXPECT_EQ(acks, expected);
+    EXPECT_EQ(ssd.stats().get("ssd.writeStalls"), 15u);
+    EXPECT_EQ(ssd.stats().get("ssd.queueFullStalls"), 18u);
+}
+
 } // namespace
 } // namespace checkin
