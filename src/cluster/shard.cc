@@ -119,22 +119,19 @@ ShardNode::execute(const Message &m)
     const Tick arrival = ctx_.now();
     const obs::OpToken tok =
         obs::attrBeginOp(opAttrClass(m.op), arrival);
-    auto cb = [this, m, arrival, tok](const QueryResult &res) {
-        obs::attrFinishOp(tok, res.done);
-        ++ops_;
-        if (m.op == WorkloadGenerator::OpType::Update ||
-            m.op == WorkloadGenerator::OpType::Rmw) {
-            bytes_ += m.valueBytes;
-        }
-        service_.record(res.done > arrival ? res.done - arrival : 0);
-        Message resp = m;
-        resp.kind = Message::Kind::Response;
-        resp.dst = 0; // the router
-        resp.deliverTick = res.done + responseLatency_;
-        resp.found = res.found;
-        resp.scanned = res.scanned;
-        resp.duringCheckpoint = res.duringCheckpoint;
-        send(resp);
+    // Park the request in a slot so the completion captures only
+    // {this, slot} and fits std::function's inline buffer.
+    std::uint32_t slot;
+    if (freeSlots_.empty()) {
+        slot = std::uint32_t(inFlight_.size());
+        inFlight_.emplace_back();
+    } else {
+        slot = freeSlots_.back();
+        freeSlots_.pop_back();
+    }
+    inFlight_[slot] = InFlight{m, arrival, tok};
+    auto cb = [this, slot](const QueryResult &res) {
+        complete(slot, res);
     };
     obs::AttrOpScope attr_scope(tok);
     switch (m.op) {
@@ -155,6 +152,28 @@ ShardNode::execute(const Message &m)
         engine_->erase(m.key, std::move(cb));
         break;
     }
+}
+
+void
+ShardNode::complete(std::uint32_t slot, const QueryResult &res)
+{
+    const InFlight f = inFlight_[slot];
+    freeSlots_.push_back(slot);
+    obs::attrFinishOp(f.tok, res.done);
+    ++ops_;
+    if (f.request.op == WorkloadGenerator::OpType::Update ||
+        f.request.op == WorkloadGenerator::OpType::Rmw) {
+        bytes_ += f.request.valueBytes;
+    }
+    service_.record(res.done > f.arrival ? res.done - f.arrival : 0);
+    Message resp = f.request;
+    resp.kind = Message::Kind::Response;
+    resp.dst = 0; // the router
+    resp.deliverTick = res.done + responseLatency_;
+    resp.found = res.found;
+    resp.scanned = res.scanned;
+    resp.duringCheckpoint = res.duringCheckpoint;
+    send(resp);
 }
 
 void

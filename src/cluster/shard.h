@@ -97,6 +97,15 @@ class ShardNode : public ClusterNode
 
   private:
     void execute(const Message &m);
+    void complete(std::uint32_t slot, const QueryResult &res);
+
+    /** A request the engine is executing. */
+    struct InFlight
+    {
+        Message request;
+        Tick arrival = 0;
+        obs::OpToken tok = obs::kNoOpToken;
+    };
 
     std::uint32_t shard_;
     ExperimentConfig cfg_;
@@ -123,6 +132,10 @@ class ShardNode : public ClusterNode
     std::uint64_t ops_ = 0;
     std::uint64_t bytes_ = 0;
     LatencyHistogram service_;
+    /** Requests in the engine, by slot; freeSlots_ lists reusable
+     *  slots. */
+    std::vector<InFlight> inFlight_;
+    std::vector<std::uint32_t> freeSlots_;
 };
 
 } // namespace checkin

@@ -73,7 +73,7 @@ JournalManager::JournalManager(SimContext &ctx, Ssd &ssd,
             return std::uint64_t(jmt_.size());
         });
         telem_->addGauge("journal.pending", [this] {
-            return std::uint64_t(buffer_.size());
+            return std::uint64_t(pendingCount());
         });
         telem_->addGauge("journal.stalled", [this] {
             return std::uint64_t(stalledForSpace_ ? 1 : 0);
@@ -137,7 +137,8 @@ JournalManager::quiesce(std::function<void()> cb)
 void
 JournalManager::startFlush()
 {
-    if (flushInFlight_ || stalledForSpace_ || buffer_.empty() ||
+    const std::size_t pending = pendingCount();
+    if (flushInFlight_ || stalledForSpace_ || pending == 0 ||
         quiesceCb_) {
         return;
     }
@@ -146,51 +147,50 @@ JournalManager::startFlush()
     // batch head to batch head until the group bound is reached. A
     // batch always starts a jump, so it lands whole in one group.
     std::size_t n = 0;
-    while (n < buffer_.size()) {
-        const std::size_t take =
-            std::max<std::uint32_t>(1, buffer_[n].batchLen);
+    while (n < pending) {
+        const std::size_t take = std::max<std::uint32_t>(
+            1, buffer_[bufferHead_ + n].batchLen);
         if (n > 0 && n + take > cfg_.maxCommitGroup)
             break;
         n += take;
         if (n >= cfg_.maxCommitGroup)
             break;
     }
-    n = std::min(n, buffer_.size());
-    std::vector<Pending> group;
-    group.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        group.push_back(std::move(buffer_.front()));
-        buffer_.pop_front();
-    }
+    n = std::min(n, pending);
 
     std::vector<Placed> placed;
     std::uint64_t first_chunk = 0;
     std::uint64_t end_chunk = 0;
-    if (!placeGroup(group, placed, first_chunk, end_chunk)) {
-        // Out of journal space: put the group back (order preserved)
-        // and ask the engine for a checkpoint.
-        for (auto it = group.rbegin(); it != group.rend(); ++it)
-            buffer_.push_front(std::move(*it));
+    if (!placeGroup(n, placed, first_chunk, end_chunk)) {
+        // Out of journal space: the group stays buffered (order
+        // preserved) and the engine is asked for a checkpoint.
         stalledForSpace_ = true;
         stallStart_ = eq_.now();
-        stats_.add("engine.journalStalls");
+        statJournalStalls_.add();
         obs::instant(obs::Cat::Engine, kJournalLane, "journal.stall",
-                     eq_.now(), {{"bufferedLogs", buffer_.size()}});
+                     eq_.now(), {{"bufferedLogs", pendingCount()}});
         if (telem_ != nullptr) {
             telem_->noteEvent(obs::TelemetryEvent::JournalStall,
-                              eq_.now(), buffer_.size());
+                              eq_.now(), pendingCount());
         }
         if (onPressure_)
             onPressure_();
         return;
+    }
+    // Drop the consumed prefix once it is at least half the buffer:
+    // amortized O(1) per record, and the storage is kept.
+    bufferHead_ += n;
+    if (2 * bufferHead_ >= buffer_.size()) {
+        buffer_.erase(buffer_.begin(),
+                      buffer_.begin() + std::ptrdiff_t(bufferHead_));
+        bufferHead_ = 0;
     }
     flushInFlight_ = true;
     submitGroup(std::move(placed), first_chunk, end_chunk);
 }
 
 bool
-JournalManager::placeGroup(std::vector<Pending> &group,
-                           std::vector<Placed> &placed,
+JournalManager::placeGroup(std::size_t n, std::vector<Placed> &placed,
                            std::uint64_t &first_chunk,
                            std::uint64_t &end_chunk)
 {
@@ -199,94 +199,80 @@ JournalManager::placeGroup(std::vector<Pending> &group,
     std::uint64_t off = appendChunk_[active_];
     first_chunk = aligned ? alignUp(off, uc) : off;
     std::uint64_t cursor = first_chunk;
+    Pending *group = buffer_.data() + bufferHead_;
 
-    // Dry placement first: nothing is moved out of @p group until
-    // the whole group is known to fit.
-    struct Slot
-    {
-        std::size_t index;
-        std::uint64_t chunkOff;
-        std::uint32_t chunks;
-        LogType type;
-    };
-    std::vector<Slot> slots;
-    slots.reserve(group.size());
+    // Dry placement first: nothing leaves the buffer until the whole
+    // group is known to fit.
+    slots_.clear();
     std::uint64_t merged_units = 0;
     std::uint64_t partial_units = 0;
 
     if (!aligned) {
-        for (std::size_t i = 0; i < group.size(); ++i) {
+        for (std::size_t i = 0; i < n; ++i) {
             const FormattedSize f = formatLogSize(
                 group[i].valueBytes, ssd_.ftl().mappingUnitBytes(),
                 false, cfg_.compressRatio);
-            slots.push_back(Slot{i, cursor, f.chunks, f.type});
+            slots_.push_back(Slot{i, cursor, f.chunks, f.type, kNoBin});
             cursor += f.chunks;
         }
     } else {
         // FULL records first, each at a unit boundary.
-        std::vector<std::pair<std::size_t, FormattedSize>> partials;
-        for (std::size_t i = 0; i < group.size(); ++i) {
+        partials_.clear();
+        for (std::size_t i = 0; i < n; ++i) {
             const FormattedSize f = formatLogSize(
                 group[i].valueBytes, ssd_.ftl().mappingUnitBytes(),
                 true, cfg_.compressRatio);
             if (f.type == LogType::Full) {
-                slots.push_back(Slot{i, cursor, f.chunks, f.type});
+                slots_.push_back(
+                    Slot{i, cursor, f.chunks, f.type, kNoBin});
                 cursor += f.chunks;
             } else {
-                partials.push_back({i, f});
+                partials_.push_back({i, f});
             }
         }
         // First-fit-decreasing bin packing of PARTIALs into units
         // (Algorithm 2's MergePartialLogs).
-        std::sort(partials.begin(), partials.end(),
+        std::sort(partials_.begin(), partials_.end(),
                   [](const auto &a, const auto &b) {
                       return a.second.chunks > b.second.chunks;
                   });
-        struct Bin
-        {
-            std::uint64_t base;
-            std::uint32_t fill = 0;
-            std::vector<std::size_t> members; // indices into slots
-        };
-        std::vector<Bin> bins;
-        for (const auto &[index, f] : partials) {
-            Bin *target = nullptr;
+        bins_.clear();
+        for (const auto &[index, f] : partials_) {
+            std::uint32_t target = kNoBin;
             if (cfg_.mergePartials) {
-                for (Bin &b : bins) {
-                    if (b.fill + f.chunks <= uc) {
-                        target = &b;
+                for (std::uint32_t b = 0; b < bins_.size(); ++b) {
+                    if (bins_[b].fill + f.chunks <= uc) {
+                        target = b;
                         break;
                     }
                 }
             }
-            if (target == nullptr) {
-                bins.push_back(Bin{cursor});
+            if (target == kNoBin) {
+                target = std::uint32_t(bins_.size());
+                bins_.push_back(Bin{cursor});
                 cursor += uc;
-                target = &bins.back();
             }
-            slots.push_back(Slot{index, target->base + target->fill,
-                                 f.chunks, LogType::Partial});
-            target->members.push_back(slots.size() - 1);
-            target->fill += f.chunks;
+            Bin &bin = bins_[target];
+            slots_.push_back(Slot{index, bin.base + bin.fill, f.chunks,
+                                  LogType::Partial, target});
+            bin.fill += f.chunks;
+            ++bin.members;
         }
-        for (const Bin &b : bins) {
-            if (b.members.size() > 1) {
-                ++merged_units;
-                for (std::size_t idx : b.members)
-                    slots[idx].type = LogType::Merged;
-            } else {
-                ++partial_units;
-            }
+        for (const Bin &b : bins_)
+            ++(b.members > 1 ? merged_units : partial_units);
+        for (Slot &s : slots_) {
+            if (s.bin != kNoBin && bins_[s.bin].members > 1)
+                s.type = LogType::Merged;
         }
     }
     end_chunk = cursor;
     if (end_chunk > layout_.journalChunks())
         return false;
 
-    stats_.add("engine.mergedUnits", merged_units);
-    stats_.add("engine.partialUnits", partial_units);
-    placed.reserve(slots.size());
-    for (const Slot &s : slots) {
+    statMergedUnits_.add(merged_units);
+    statPartialUnits_.add(partial_units);
+    placed.reserve(slots_.size());
+    for (const Slot &s : slots_) {
         placed.push_back(Placed{std::move(group[s.index]), s.chunkOff,
                                 s.chunks, s.type});
     }
@@ -306,17 +292,16 @@ JournalManager::submitGroup(std::vector<Placed> placed,
         if (pl.pending.valueBytes == 0) {
             image[pl.chunkOff] = tombstoneToken(pl.pending.key,
                                                 pl.pending.version);
-            stats_.add("engine.tombstones");
+            statTombstones_.add();
         } else {
             for (std::uint32_t c = 0; c < pl.chunks; ++c) {
                 image[pl.chunkOff + c] = dataChunkToken(
                     pl.pending.key, pl.pending.version, c);
             }
         }
-        stats_.add("engine.journalLogs");
-        stats_.add("engine.journalChunksStored", pl.chunks);
-        stats_.add("engine.journalPayloadBytes",
-                   pl.pending.valueBytes);
+        statJournalLogs_.add();
+        statJournalChunksStored_.add(pl.chunks);
+        statJournalPayloadBytes_.add(pl.pending.valueBytes);
     }
     appendChunk_[half] = end_chunk;
     logsAppended_[half] += placed.size();
@@ -335,8 +320,8 @@ JournalManager::submitGroup(std::vector<Placed> placed,
         }
     }
 
-    stats_.add("engine.journalFlushes");
-    stats_.add("engine.journalSectorsWritten", payload.size());
+    statJournalFlushes_.add();
+    statJournalSectorsWritten_.add(payload.size());
 
     Command cmd = Command::write(layout_.journalStart[half] + s0,
                                  std::move(payload), IoCause::Journal);
@@ -387,13 +372,14 @@ JournalManager::submitGroup(std::vector<Placed> placed,
     }
     ssd_.submit(std::move(cmd),
                 [this, half, submitted, group_sectors,
-                 placed = std::move(placed)](const CmdResult &r) {
+                 placed = std::move(placed)](
+                    const CmdResult &r) mutable {
         const Tick done = r.require();
         obs::span(obs::Cat::Engine, kJournalLane,
                   "journal.groupCommit", submitted, done,
                   {{"logs", placed.size()},
                    {"sectors", group_sectors}});
-        for (const Placed &pl : placed) {
+        for (Placed &pl : placed) {
             JmtEntry entry;
             entry.key = pl.pending.key;
             entry.version = pl.pending.version;

@@ -15,15 +15,16 @@
 #define CHECKIN_ENGINE_JOURNAL_H_
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "engine/engine_config.h"
 #include "engine/layout.h"
 #include "obs/attribution.h"
 #include "sim/event_queue.h"
+#include "sim/inline_event.h"
 #include "sim/sim_context.h"
 #include "sim/stats.h"
 #include "ssd/ssd.h"
@@ -76,8 +77,10 @@ FormattedSize formatLogSize(std::uint32_t value_bytes,
 class JournalManager
 {
   public:
-    /** Fired when a record's group commit completes. */
-    using CommitCb = std::function<void(const JmtEntry &, Tick)>;
+    /** Fired when a record's group commit completes. Inline storage
+     *  fits a capture of {this, key, QueryCb, flag}, so a per-record
+     *  callback never allocates. */
+    using CommitCb = InlineFunction<void(const JmtEntry &, Tick)>;
     /** Fired when the journal wants a checkpoint (space pressure). */
     using PressureCb = std::function<void()>;
 
@@ -155,7 +158,11 @@ class JournalManager
     bool stalled() const { return stalledForSpace_; }
 
     /** Updates buffered but not yet committed (lost on crash). */
-    std::size_t pendingCount() const { return buffer_.size(); }
+    std::size_t
+    pendingCount() const
+    {
+        return buffer_.size() - bufferHead_;
+    }
 
     /** True while a group-commit write is outstanding. */
     bool flushInFlight() const { return flushInFlight_; }
@@ -191,9 +198,12 @@ class JournalManager
     std::uint32_t unitChunks() const;
 
     void startFlush();
-    /** Place @p group in the active half; false when out of space. */
-    bool placeGroup(std::vector<Pending> &group,
-                    std::vector<Placed> &placed,
+    /**
+     * Place the @p n oldest pending records in the active half and
+     * move them into @p placed; false (nothing moved) when they do
+     * not fit.
+     */
+    bool placeGroup(std::size_t n, std::vector<Placed> &placed,
                     std::uint64_t &first_chunk,
                     std::uint64_t &end_chunk);
     void submitGroup(std::vector<Placed> placed,
@@ -209,7 +219,26 @@ class JournalManager
     obs::TelemetrySampler *telem_ = nullptr;
     PressureCb onPressure_;
 
-    std::deque<Pending> buffer_;
+    // Group-commit counters, interned on first use so a run's key set
+    // stays what string-keyed adds would produce.
+    LazyStat statJournalStalls_{stats_, "engine.journalStalls"};
+    LazyStat statMergedUnits_{stats_, "engine.mergedUnits"};
+    LazyStat statPartialUnits_{stats_, "engine.partialUnits"};
+    LazyStat statTombstones_{stats_, "engine.tombstones"};
+    LazyStat statJournalLogs_{stats_, "engine.journalLogs"};
+    LazyStat statJournalChunksStored_{stats_,
+                                      "engine.journalChunksStored"};
+    LazyStat statJournalPayloadBytes_{stats_,
+                                      "engine.journalPayloadBytes"};
+    LazyStat statJournalFlushes_{stats_, "engine.journalFlushes"};
+    LazyStat statJournalSectorsWritten_{
+        stats_, "engine.journalSectorsWritten"};
+
+    /** Appends not yet in a group commit: buffer_[bufferHead_, end),
+     *  oldest first. The consumed prefix is dropped in bulk so the
+     *  storage is reused instead of reallocated. */
+    std::vector<Pending> buffer_;
+    std::size_t bufferHead_ = 0;
     bool flushInFlight_ = false;
     bool stalledForSpace_ = false;
     /** Last space-stall window (attribution: records buffered across
@@ -226,6 +255,29 @@ class JournalManager
     std::vector<std::uint64_t> image_[2];
 
     std::unordered_map<std::uint64_t, JmtEntry> jmt_;
+
+    /** One record's dry placement (placeGroup scratch). */
+    struct Slot
+    {
+        std::size_t index; //!< offset from bufferHead_
+        std::uint64_t chunkOff;
+        std::uint32_t chunks;
+        LogType type;
+        /** Bin of a sub-unit record; kNoBin for FULL / Raw. */
+        std::uint32_t bin;
+    };
+    static constexpr std::uint32_t kNoBin = ~std::uint32_t{0};
+    /** One mapping unit PARTIAL records are packed into. */
+    struct Bin
+    {
+        std::uint64_t base;
+        std::uint32_t fill = 0;
+        std::uint32_t members = 0;
+    };
+    // placeGroup scratch, reused across group commits.
+    std::vector<Slot> slots_;
+    std::vector<std::pair<std::size_t, FormattedSize>> partials_;
+    std::vector<Bin> bins_;
 };
 
 } // namespace checkin

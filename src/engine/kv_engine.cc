@@ -40,7 +40,8 @@ KvEngine::KvEngine(SimContext &ctx, Ssd &ssd, const EngineConfig &cfg)
       journal_(ctx, ssd, layout_, cfg_, stats_),
       strategy_(CheckpointStrategy::create(ssd, layout_, cfg_,
                                            stats_)),
-      policy_(CheckpointPolicy::create(cfg_))
+      policy_(CheckpointPolicy::create(cfg_)),
+      gate_(eq_, cfg_.hostCpuPerQuery)
 {
     journal_.setPressureCallback([this] {
         requestCheckpoint(obs::CkptTrigger::SpacePressure);
@@ -49,7 +50,7 @@ KvEngine::KvEngine(SimContext &ctx, Ssd &ssd, const EngineConfig &cfg)
     telem_ = ctx.telemetry();
     if (telem_ != nullptr && telem_->enabled()) {
         telem_->addGauge("engine.deferredOps", [this] {
-            return std::uint64_t(deferred_.size());
+            return std::uint64_t(gate_.held());
         });
         telem_->addGauge("engine.keymapSize", [this] {
             return std::uint64_t(keymap_.size());
@@ -163,25 +164,6 @@ KvEngine::noteJournalAppend()
         requestCheckpoint(d.trigger);
 }
 
-bool
-KvEngine::maybeDefer(std::function<void()> fn)
-{
-    if (cfg_.lockQueriesDuringCheckpoint && ckptInProgress_) {
-        deferred_.push_back(std::move(fn));
-        return true;
-    }
-    return false;
-}
-
-void
-KvEngine::drainDeferred()
-{
-    while (!deferred_.empty()) {
-        eq_.scheduleAfter(0, std::move(deferred_.front()));
-        deferred_.pop_front();
-    }
-}
-
 void
 KvEngine::get(std::uint64_t key, QueryCb cb)
 {
@@ -193,11 +175,7 @@ KvEngine::get(std::uint64_t key, QueryCb cb)
         obs::AttrOpScope attr_scope(op);
         doGet(key, std::move(cb));
     };
-    if (maybeDefer(task))
-        return;
-    obs::attrMark(op, obs::Stage::HostCpu,
-                  eq_.now() + cfg_.hostCpuPerQuery);
-    eq_.scheduleAfter(cfg_.hostCpuPerQuery, std::move(task));
+    gate_.admit(queriesLocked(), op, std::move(task));
 }
 
 void
@@ -211,11 +189,7 @@ KvEngine::update(std::uint64_t key, std::uint32_t value_bytes,
         obs::AttrOpScope attr_scope(op);
         doUpdate(key, value_bytes, std::move(cb));
     };
-    if (maybeDefer(task))
-        return;
-    obs::attrMark(op, obs::Stage::HostCpu,
-                  eq_.now() + cfg_.hostCpuPerQuery);
-    eq_.scheduleAfter(cfg_.hostCpuPerQuery, std::move(task));
+    gate_.admit(queriesLocked(), op, std::move(task));
 }
 
 void
@@ -249,11 +223,7 @@ KvEngine::erase(std::uint64_t key, QueryCb cb)
         obs::AttrOpScope attr_scope(op);
         doErase(key, std::move(cb));
     };
-    if (maybeDefer(task))
-        return;
-    obs::attrMark(op, obs::Stage::HostCpu,
-                  eq_.now() + cfg_.hostCpuPerQuery);
-    eq_.scheduleAfter(cfg_.hostCpuPerQuery, std::move(task));
+    gate_.admit(queriesLocked(), op, std::move(task));
 }
 
 void
@@ -267,23 +237,19 @@ KvEngine::scan(std::uint64_t start_key, std::uint32_t count,
         obs::AttrOpScope attr_scope(op);
         doScan(start_key, count, std::move(cb));
     };
-    if (maybeDefer(task))
-        return;
-    obs::attrMark(op, obs::Stage::HostCpu,
-                  eq_.now() + cfg_.hostCpuPerQuery);
-    eq_.scheduleAfter(cfg_.hostCpuPerQuery, std::move(task));
+    gate_.admit(queriesLocked(), op, std::move(task));
 }
 
 void
 KvEngine::doGet(std::uint64_t key, QueryCb cb)
 {
     assert(key < cfg_.recordCount);
-    stats_.add("engine.gets");
+    statGets_.add();
     const KeyState st = keymap_[key];
     const bool ckpt_at_submit = ckptInProgress_;
     if (st.version == 0 || st.storedChunks == 0) {
         // Never written, or deleted (tombstone / trimmed slot).
-        stats_.add("engine.getMisses");
+        statGetMisses_.add();
         eq_.scheduleAfter(0, [this, cb = std::move(cb),
                               ckpt_at_submit] {
             cb(QueryResult{eq_.now(), ckpt_at_submit, false});
@@ -293,7 +259,7 @@ KvEngine::doGet(std::uint64_t key, QueryCb cb)
     verifyKeyContent(key, st);
     if (hostCache_.lookup(key, st.version)) {
         // Served from the block management engine's memory.
-        stats_.add("engine.hostCacheHits");
+        statHostCacheHits_.add();
         eq_.scheduleAfter(0, [this, cb = std::move(cb),
                               ckpt_at_submit] {
             cb(QueryResult{eq_.now(),
@@ -306,7 +272,7 @@ KvEngine::doGet(std::uint64_t key, QueryCb cb)
     if (st.inJournal) {
         lba = layout_.journalChunkLba(st.half, st.journalChunk);
         shift = std::uint32_t(st.journalChunk % kChunksPerSector);
-        stats_.add("engine.getsFromJournal");
+        statGetsFromJournal_.add();
     } else {
         lba = layout_.targetLba(key);
     }
@@ -343,8 +309,8 @@ KvEngine::doUpdate(std::uint64_t key, std::uint32_t value_bytes,
                 st.half = e.half;
                 st.journalChunk = e.chunkOff;
             }
-            stats_.add("engine.updates");
-            stats_.add("engine.updateBytes", e.payloadBytes);
+            statUpdates_.add();
+            statUpdateBytes_.add(e.payloadBytes);
             hostCache_.insert(key, e.version, e.chunks * kChunkBytes);
             noteJournalAppend();
             cb(QueryResult{done,
@@ -409,11 +375,7 @@ KvEngine::updateBatch(std::vector<BatchOp> ops, QueryCb cb)
         }
         journal_.appendBatch(std::move(records));
     };
-    if (maybeDefer(task))
-        return;
-    obs::attrMark(op, obs::Stage::HostCpu,
-                  eq_.now() + cfg_.hostCpuPerQuery);
-    eq_.scheduleAfter(cfg_.hostCpuPerQuery, std::move(task));
+    gate_.admit(queriesLocked(), op, std::move(task));
 }
 
 void
@@ -777,7 +739,7 @@ KvEngine::finishCheckpoint(std::uint8_t half, Tick t)
     }
     ++ckptSeq_;
     policy_->onCheckpointEnd(t, t - ckptStart_);
-    drainDeferred();
+    gate_.release();
     const bool threshold_hit =
         policy_->onAppend(policySignals()).checkpoint;
     if (pendingCkptRequest_ || threshold_hit) {
@@ -821,8 +783,10 @@ KvEngine::verifyKeyContent(std::uint64_t key,
     }
     const auto nsect = std::uint32_t(
         divCeil(shift + st.storedChunks, kChunksPerSector));
-    std::vector<SectorData> buf(nsect);
-    ssd_.peek(lba, nsect, buf.data());
+    if (verifyBuf_.size() < nsect)
+        verifyBuf_.resize(nsect);
+    const std::vector<SectorData> &buf = verifyBuf_;
+    ssd_.peek(lba, nsect, verifyBuf_.data());
     for (std::uint32_t c = 0; c < st.storedChunks; ++c) {
         const std::uint32_t pos = shift + c;
         const std::uint64_t got =

@@ -9,7 +9,6 @@
 #define CHECKIN_ENGINE_KV_ENGINE_H_
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -21,6 +20,7 @@
 #include "engine/journal.h"
 #include "engine/keymap.h"
 #include "engine/layout.h"
+#include "engine/query_gate.h"
 #include "engine/storage_engine.h"
 #include "obs/attribution.h"
 #include "obs/flight_recorder.h"
@@ -160,9 +160,12 @@ class KvEngine : public StorageEngine
     /** Trim the data-area slots of deleted keys (fan-out). */
     void trimTombstones(const std::vector<JmtEntry> &tombs,
                         std::function<void(Tick)> cb);
-    /** Defer a query while checkpoint-locked; true when deferred. */
-    bool maybeDefer(std::function<void()> fn);
-    void drainDeferred();
+    /** True while the checkpoint lock holds queries back. */
+    bool
+    queriesLocked() const
+    {
+        return cfg_.lockQueriesDuringCheckpoint && ckptInProgress_;
+    }
 
     void onCheckpointTimer();
     /** Current trigger-policy inputs. */
@@ -194,6 +197,14 @@ class KvEngine : public StorageEngine
     Keymap keymap_;
     HostCache hostCache_;
     StatRegistry stats_;
+    // Per-query counters, interned on first use so a run's key set
+    // stays what string-keyed adds would produce.
+    LazyStat statGets_{stats_, "engine.gets"};
+    LazyStat statGetMisses_{stats_, "engine.getMisses"};
+    LazyStat statHostCacheHits_{stats_, "engine.hostCacheHits"};
+    LazyStat statGetsFromJournal_{stats_, "engine.getsFromJournal"};
+    LazyStat statUpdates_{stats_, "engine.updates"};
+    LazyStat statUpdateBytes_{stats_, "engine.updateBytes"};
     JournalManager journal_;
     std::unique_ptr<CheckpointStrategy> strategy_;
     std::unique_ptr<CheckpointPolicy> policy_;
@@ -211,7 +222,9 @@ class KvEngine : public StorageEngine
      *  until finishCheckpoint() turns them into deltas. */
     obs::CheckpointStat ckptRec_;
     std::uint64_t ckptSeq_ = 0;
-    std::deque<std::function<void()>> deferred_;
+    QueryGate gate_;
+    /** verifyKeyContent() read buffer, reused across queries. */
+    mutable std::vector<SectorData> verifyBuf_;
 };
 
 } // namespace checkin

@@ -53,13 +53,14 @@ LsmEngine::LsmEngine(SimContext &ctx, Ssd &ssd,
       layout_(LsmLayout::compute(cfg, ssd.capacitySectors(),
                                  ssd.ftl().sectorsPerUnit())),
       keymap_(cfg.recordCount),
-      policy_(CheckpointPolicy::create(cfg_))
+      policy_(CheckpointPolicy::create(cfg_)),
+      gate_(eq_, cfg_.hostCpuPerQuery)
 {
     obs::nameLane(obs::Cat::Engine, kFlushLane, "flush");
     telem_ = ctx.telemetry();
     if (telem_ != nullptr && telem_->enabled()) {
         telem_->addGauge("engine.deferredOps", [this] {
-            return std::uint64_t(deferred_.size());
+            return std::uint64_t(gate_.held());
         });
         telem_->addGauge("engine.keymapSize", [this] {
             return std::uint64_t(keymap_.size());
@@ -211,25 +212,6 @@ LsmEngine::noteWalAppend()
         requestCheckpoint(d.trigger);
 }
 
-bool
-LsmEngine::maybeDefer(std::function<void()> fn)
-{
-    if (cfg_.lockQueriesDuringCheckpoint && flushInProgress_) {
-        deferred_.push_back(std::move(fn));
-        return true;
-    }
-    return false;
-}
-
-void
-LsmEngine::drainDeferred()
-{
-    while (!deferred_.empty()) {
-        eq_.scheduleAfter(0, std::move(deferred_.front()));
-        deferred_.pop_front();
-    }
-}
-
 // ----------------------------------------------------------------------
 // Queries
 // ----------------------------------------------------------------------
@@ -243,22 +225,18 @@ LsmEngine::get(std::uint64_t key, QueryCb cb)
         obs::AttrOpScope attr_scope(op);
         doGet(key, std::move(cb));
     };
-    if (maybeDefer(task))
-        return;
-    obs::attrMark(op, obs::Stage::HostCpu,
-                  eq_.now() + cfg_.hostCpuPerQuery);
-    eq_.scheduleAfter(cfg_.hostCpuPerQuery, std::move(task));
+    gate_.admit(queriesLocked(), op, std::move(task));
 }
 
 void
 LsmEngine::doGet(std::uint64_t key, QueryCb cb)
 {
     assert(key < cfg_.recordCount);
-    stats_.add("engine.gets");
+    statGets_.add();
     const KeyState st = keymap_[key];
     const bool ckpt_at_submit = flushInProgress_;
     if (st.version == 0 || st.chunks == 0) {
-        stats_.add("engine.getMisses");
+        statGetMisses_.add();
         eq_.scheduleAfter(0, [this, cb = std::move(cb),
                               ckpt_at_submit] {
             cb(QueryResult{eq_.now(), ckpt_at_submit, false});
@@ -267,7 +245,7 @@ LsmEngine::doGet(std::uint64_t key, QueryCb cb)
     }
     verifyKeyContent(key, st);
     if (st.loc.area == Loc::Area::Wal)
-        stats_.add("engine.getsFromJournal");
+        statGetsFromJournal_.add();
     const auto nsect =
         std::uint32_t(divCeil(st.chunks, kChunksPerSector));
     ssd_.submit(Command::read(lbaOf(st.loc), nsect, IoCause::Query),
@@ -302,8 +280,8 @@ LsmEngine::update(std::uint64_t key, std::uint32_t value_bytes,
         rec.cb = [this, value_bytes, ckpt_at_submit,
                   cb = std::move(cb)](const WalRec &w, Tick done) {
             applyWalAck(w);
-            stats_.add("engine.updates");
-            stats_.add("engine.updateBytes", value_bytes);
+            statUpdates_.add();
+            statUpdateBytes_.add(value_bytes);
             noteWalAppend();
             cb(QueryResult{done,
                            ckpt_at_submit || flushInProgress_,
@@ -313,11 +291,7 @@ LsmEngine::update(std::uint64_t key, std::uint32_t value_bytes,
         group.push_back(std::move(rec));
         enqueueGroup(std::move(group));
     };
-    if (maybeDefer(task))
-        return;
-    obs::attrMark(op, obs::Stage::HostCpu,
-                  eq_.now() + cfg_.hostCpuPerQuery);
-    eq_.scheduleAfter(cfg_.hostCpuPerQuery, std::move(task));
+    gate_.admit(queriesLocked(), op, std::move(task));
 }
 
 void
@@ -368,11 +342,7 @@ LsmEngine::erase(std::uint64_t key, QueryCb cb)
         group.push_back(std::move(rec));
         enqueueGroup(std::move(group));
     };
-    if (maybeDefer(task))
-        return;
-    obs::attrMark(op, obs::Stage::HostCpu,
-                  eq_.now() + cfg_.hostCpuPerQuery);
-    eq_.scheduleAfter(cfg_.hostCpuPerQuery, std::move(task));
+    gate_.admit(queriesLocked(), op, std::move(task));
 }
 
 void
@@ -421,11 +391,7 @@ LsmEngine::updateBatch(std::vector<BatchOp> ops, QueryCb cb)
         }
         enqueueGroup(std::move(group));
     };
-    if (maybeDefer(task))
-        return;
-    obs::attrMark(op, obs::Stage::HostCpu,
-                  eq_.now() + cfg_.hostCpuPerQuery);
-    eq_.scheduleAfter(cfg_.hostCpuPerQuery, std::move(task));
+    gate_.admit(queriesLocked(), op, std::move(task));
 }
 
 void
@@ -439,11 +405,7 @@ LsmEngine::scan(std::uint64_t start_key, std::uint32_t count,
         obs::AttrOpScope attr_scope(op);
         doScan(start_key, count, std::move(cb));
     };
-    if (maybeDefer(task))
-        return;
-    obs::attrMark(op, obs::Stage::HostCpu,
-                  eq_.now() + cfg_.hostCpuPerQuery);
-    eq_.scheduleAfter(cfg_.hostCpuPerQuery, std::move(task));
+    gate_.admit(queriesLocked(), op, std::move(task));
 }
 
 void
@@ -565,7 +527,7 @@ LsmEngine::pumpWal()
         // Active half full: stall until a flush rotates the halves.
         if (!walStalled_) {
             walStalled_ = true;
-            stats_.add("engine.journalStalls");
+            statJournalStalls_.add();
             if (telem_ != nullptr) {
                 telem_->noteEvent(
                     obs::TelemetryEvent::JournalStall, eq_.now(),
@@ -646,10 +608,9 @@ LsmEngine::pumpWal()
     appendUnit_[half] += batch_units;
     halfPayloadBytes_[half] += payload_bytes;
     halfClean_[half] = false;
-    stats_.add("engine.groupCommits");
-    stats_.add("engine.journalPayloadBytes", payload_bytes);
-    stats_.add("engine.journalChunksStored",
-               batch_units * unit_chunks);
+    statGroupCommits_.add();
+    statJournalPayloadBytes_.add(payload_bytes);
+    statJournalChunksStored_.add(batch_units * unit_chunks);
 
     Command w = Command::write(layout_.walLba(half, base_unit),
                                std::move(payload), IoCause::Journal);
@@ -890,7 +851,7 @@ LsmEngine::finishFlush(Tick t)
     }
     ++flushSeq_;
     policy_->onCheckpointEnd(t, t - flushStart_);
-    drainDeferred();
+    gate_.release();
     pumpWal();
     const bool threshold_hit =
         policy_->onAppend(policySignals()).checkpoint;

@@ -16,6 +16,7 @@
 #include "engine/checkpoint_policy.h"
 #include "engine/engine_config.h"
 #include "engine/lsm/lsm_layout.h"
+#include "engine/query_gate.h"
 #include "engine/storage_engine.h"
 #include "obs/flight_recorder.h"
 #include "sim/event_queue.h"
@@ -201,8 +202,12 @@ class LsmEngine : public StorageEngine
     void doGet(std::uint64_t key, QueryCb cb);
     void doScan(std::uint64_t start_key, std::uint32_t count,
                 QueryCb cb);
-    bool maybeDefer(std::function<void()> fn);
-    void drainDeferred();
+    /** True while the flush lock holds queries back. */
+    bool
+    queriesLocked() const
+    {
+        return cfg_.lockQueriesDuringCheckpoint && flushInProgress_;
+    }
     void onFlushTimer();
     /** Current trigger-policy inputs. */
     PolicySignals policySignals() const;
@@ -247,6 +252,19 @@ class LsmEngine : public StorageEngine
     LsmLayout layout_;
     std::vector<KeyState> keymap_;
     StatRegistry stats_;
+    // Per-query and group-commit counters, interned on first use so
+    // a run's key set stays what string-keyed adds would produce.
+    LazyStat statGets_{stats_, "engine.gets"};
+    LazyStat statGetMisses_{stats_, "engine.getMisses"};
+    LazyStat statGetsFromJournal_{stats_, "engine.getsFromJournal"};
+    LazyStat statUpdates_{stats_, "engine.updates"};
+    LazyStat statUpdateBytes_{stats_, "engine.updateBytes"};
+    LazyStat statJournalStalls_{stats_, "engine.journalStalls"};
+    LazyStat statGroupCommits_{stats_, "engine.groupCommits"};
+    LazyStat statJournalPayloadBytes_{stats_,
+                                      "engine.journalPayloadBytes"};
+    LazyStat statJournalChunksStored_{stats_,
+                                      "engine.journalChunksStored"};
     std::unique_ptr<CheckpointPolicy> policy_;
 
     /** Device-durable OOB version stamps: a single monotone counter
@@ -284,7 +302,7 @@ class LsmEngine : public StorageEngine
     std::vector<Tick> flushDurations_;
     obs::CheckpointStat flushRec_;
     std::uint64_t flushSeq_ = 0;
-    std::deque<std::function<void()>> deferred_;
+    QueryGate gate_;
     /** Telemetry sampler of the run (nullptr: telemetry off). */
     obs::TelemetrySampler *telem_ = nullptr;
 };

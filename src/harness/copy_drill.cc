@@ -23,7 +23,69 @@ token(std::uint64_t v)
     return d;
 }
 
+/** True when no free or active block is still factory-fresh. */
+bool
+aged(const Ssd &ssd)
+{
+    const BlockManager &bm = ssd.ftl().blockManager();
+    const NandFlash &nand = ssd.nand();
+    // Active blocks count too: their unprogrammed pages are next.
+    for (Pbn b = 0; b < nand.config().totalBlocks(); ++b) {
+        const BlockManager::State st = bm.state(b);
+        if ((st == BlockManager::State::Free ||
+             st == BlockManager::State::Active) &&
+            nand.eraseCount(b) == 0) {
+            return false;
+        }
+    }
+    return true;
+}
+
 } // namespace
+
+void
+ageDevice(EventQueue &eq, Ssd &ssd, Lba skip_begin, Lba skip_end)
+{
+    // Overwrite until GC has recycled every factory-fresh block.
+    // Wear-aware allocation hands out fresh blocks first, so this
+    // converges within a few passes.
+    const Lba cap = ssd.capacitySectors();
+    std::uint64_t version = 1;
+    for (int pass = 0; !aged(ssd); ++pass) {
+        if (pass == kMaxAgingPasses)
+            throw std::runtime_error("ageDevice: aging stalled");
+        for (Lba lba = 0; lba + kAgeWriteSectors <= cap;
+             lba += kAgeWriteSectors) {
+            if (lba >= skip_begin && lba < skip_end)
+                continue;
+            ssd.submit(
+                Command::write(lba,
+                               std::vector<SectorData>(
+                                   kAgeWriteSectors, token(version++)),
+                               IoCause::Query),
+                [](const CmdResult &r) { r.require(); });
+            eq.run();
+        }
+    }
+}
+
+void
+primeEventQueue(EventQueue &eq)
+{
+    // Four events every microsecond for twice the calendar horizon:
+    // every wheel bucket, the overflow heap and the active window end
+    // up holding far more events than a gate window has pending. The
+    // bucket holding `now` is fed through the active window instead,
+    // so a second pass from a later start covers it.
+    for (int pass = 0; pass < 2; ++pass) {
+        const Tick base = eq.now();
+        for (Tick t = 0; t < 4 * kMsec; t += kUsec) {
+            for (int k = 0; k < 4; ++k)
+                eq.schedule(base + t, [] {});
+        }
+        eq.run();
+    }
+}
 
 CopyPathDrill::CopyPathDrill(std::uint32_t mapping_unit_bytes)
 {
@@ -39,66 +101,10 @@ CopyPathDrill::CopyPathDrill(std::uint32_t mapping_unit_bytes)
     const Lba window = kRecordsPerRound * (3 * spu + 1);
     journalSectors_ = cap / 4 / window * window;
 
-    // Age: overwrite both areas until GC has recycled every factory-
-    // fresh block. Wear-aware allocation hands out fresh blocks
-    // first, so this converges within a few passes.
-    EventQueue &eq = ctx_.events();
-    std::uint64_t version = 1;
-    for (int pass = 0; !aged(); ++pass) {
-        if (pass == kMaxAgingPasses)
-            throw std::runtime_error("CopyPathDrill: aging stalled");
-        for (Lba lba = 0; lba + kAgeWriteSectors <= cap;
-             lba += kAgeWriteSectors) {
-            if (lba >= dataSectors_ && lba < journalBase_)
-                continue;
-            ssd_->submit(
-                Command::write(lba,
-                               std::vector<SectorData>(
-                                   kAgeWriteSectors, token(version++)),
-                               IoCause::Query),
-                [](const CmdResult &r) { r.require(); });
-            eq.run();
-        }
-    }
-    primeEventQueue();
+    ageDevice(ctx_.events(), *ssd_, dataSectors_, journalBase_);
+    primeEventQueue(ctx_.events());
     prepare(kWarmRounds);
     run();
-}
-
-void
-CopyPathDrill::primeEventQueue()
-{
-    // Four events every microsecond for twice the calendar horizon:
-    // every wheel bucket, the overflow heap and the active window end
-    // up holding far more events than a round ever has pending. The
-    // bucket holding `now` is fed through the active window instead,
-    // so a second pass from a later start covers it.
-    EventQueue &eq = ctx_.events();
-    for (int pass = 0; pass < 2; ++pass) {
-        const Tick base = eq.now();
-        for (Tick t = 0; t < 4 * kMsec; t += kUsec) {
-            for (int k = 0; k < 4; ++k)
-                eq.schedule(base + t, [] {});
-        }
-        eq.run();
-    }
-}
-
-bool
-CopyPathDrill::aged() const
-{
-    const BlockManager &bm = ssd_->ftl().blockManager();
-    const NandFlash &nand = ssd_->nand();
-    // Active blocks count too: their unprogrammed pages are next.
-    for (Pbn b = 0; b < nand.config().totalBlocks(); ++b) {
-        const BlockManager::State st = bm.state(b);
-        if ((st == BlockManager::State::Free ||
-             st == BlockManager::State::Active) &&
-            nand.eraseCount(b) == 0) {
-            return false;
-        }
-    }
-    return true;
 }
 
 void

@@ -34,6 +34,26 @@
 
 namespace checkin {
 
+/**
+ * Age @p ssd: overwrite every LBA outside [@p skip_begin,
+ * @p skip_end) in passes until no free or active block is still
+ * factory-fresh. A page's first program allocates its buffers; on an
+ * aged device every program recycles the buffers of the page it
+ * replaces, so an allocation gate measures steady state.
+ * @throws std::runtime_error if aging does not converge.
+ */
+void ageDevice(EventQueue &eq, Ssd &ssd, Lba skip_begin,
+               Lba skip_end);
+
+/**
+ * Grow every calendar bucket of idle queue @p eq past the load of an
+ * allocation-gate window (runs the queue to idle). The buckets grow
+ * on first use and keep their capacity, so a kernel reaches its
+ * high-water capacity only over thousands of rounds; after priming,
+ * an allocation count measures the simulated stack alone.
+ */
+void primeEventQueue(EventQueue &eq);
+
 class CopyPathDrill
 {
   public:
@@ -71,19 +91,6 @@ class CopyPathDrill
   private:
     /** Rounds run by the constructor before any measured run(). */
     static constexpr std::uint32_t kWarmRounds = 64;
-
-    /** True when no free or active block is still factory-fresh. */
-    bool aged() const;
-
-    /**
-     * The event queue's calendar buckets grow on first use and keep
-     * their capacity, so a kernel reaches its high-water capacity
-     * only over thousands of rounds. Grow every bucket past the
-     * drill's peak (each round runs to idle, so at most one round's
-     * commands are ever pending): the allocation count around run()
-     * then measures the device stack alone.
-     */
-    void primeEventQueue();
 
     /** Append one round's commands to the prepared list. */
     void prepareRound();

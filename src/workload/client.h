@@ -147,6 +147,17 @@ class ClientPool
         std::uint32_t tenant = 0;
     };
 
+    /** The op a closed-loop thread or open-loop slot has in the
+     *  engine. */
+    struct InFlight
+    {
+        WorkloadGenerator::OpType type = WorkloadGenerator::OpType::Read;
+        /** Issue tick (closed loop) or arrival tick (open loop). */
+        Tick since = 0;
+        obs::OpToken tok = obs::kNoOpToken;
+        std::uint32_t tenant = 0;
+    };
+
     void issueNext(std::uint32_t thread);
     void record(WorkloadGenerator::OpType type, std::uint32_t thread,
                 Tick issued, const QueryResult &res);
@@ -154,6 +165,7 @@ class ClientPool
     void scheduleNextArrival();
     void onArrival();
     void dispatch(std::uint32_t slot);
+    void onOpenComplete(std::uint32_t slot, const QueryResult &res);
     void issueToEngine(const WorkloadGenerator::Op &op,
                        StorageEngine::QueryCb cb);
 
@@ -164,6 +176,8 @@ class ClientPool
     std::uint64_t opTarget_;
     std::uint64_t opsIssued_ = 0;
     std::uint32_t threads_;
+    /** Per thread / service slot; completions look their op up here. */
+    std::vector<InFlight> inFlight_;
     ClientStats stats_;
     Sampler sampler_;
     /** Telemetry sampler of the run (nullptr: telemetry off). */

@@ -1,0 +1,136 @@
+/**
+ * @file
+ * Exact heap-allocation gate for the host query path: closed-loop
+ * ClientPool -> KvEngine get/update -> journal group commit.
+ *
+ * Part of checkin_alloc_tests (counting operator new, see
+ * alloc_counter.h). A Check-In engine on an aged device is warmed
+ * with closed-loop clients, then a fresh pool runs the measured
+ * operations with no checkpoint in the window. Read-only traffic must
+ * allocate nothing. Updates may allocate only the buffers the journal
+ * still builds per group commit for its device write: the placed
+ * records, the sector payload and the per-unit OOB annotations.
+ */
+
+#include <gtest/gtest.h>
+
+#include <memory>
+
+#include "alloc_counter.h"
+#include "engine/kv_engine.h"
+#include "harness/copy_drill.h"
+#include "harness/presets.h"
+#include "sim/sim_context.h"
+#include "ssd/ssd.h"
+#include "workload/client.h"
+
+namespace checkin {
+namespace {
+
+using test::heapAllocations;
+
+/** Heap allocations per journal group commit in steady state. */
+constexpr std::uint64_t kAllocsPerGroupCommit = 3;
+
+class EngineAllocs : public ::testing::Test
+{
+  protected:
+    static constexpr std::uint32_t kThreads = 32;
+
+    EngineAllocs() : ctx_(7), scope_(ctx_)
+    {
+        ExperimentConfig cfg = presets::small();
+        cfg.nand.blocksPerPlane = 32;
+        cfg.engine.recordCount = 512;
+        // Checkpoints only on request: none runs inside a window.
+        cfg.engine.checkpointInterval = 0;
+        cfg.engine.checkpointJournalBytes =
+            cfg.engine.journalHalfBytes;
+        FtlConfig ftl = cfg.ftl;
+        ftl.mappingUnitBytes = cfg.resolvedMappingUnit();
+        ssd_ = std::make_unique<Ssd>(ctx_, cfg.nand, ftl, cfg.ssd);
+        const DiskLayout layout =
+            DiskLayout::compute(cfg.engine, ssd_->capacitySectors(),
+                                ssd_->ftl().sectorsPerUnit());
+        ageDevice(ctx_.events(), *ssd_,
+                  layout.dataStart + layout.dataSectors,
+                  ssd_->capacitySectors());
+        engine_ = std::make_unique<KvEngine>(ctx_, *ssd_, cfg.engine);
+        engine_->load([](std::uint64_t) { return 256u; });
+        ctx_.events().schedule(ssd_->quiesceTick(), [] {});
+        ctx_.events().run();
+        engine_->start();
+
+        // Warm up: every key gets a journal-resident version (so the
+        // JMT holds them all), and both query kinds run once at full
+        // concurrency so every reusable buffer reaches its size.
+        WorkloadSpec every_key = WorkloadSpec::wo();
+        every_key.distribution = Distribution::Uniform;
+        run(every_key, 4000);
+        run(WorkloadSpec::a(), 4000);
+        run(WorkloadSpec::c(), 4000);
+        primeEventQueue(ctx_.events());
+    }
+
+    /** Run @p ops of @p spec from closed-loop clients; returns the
+     *  heap allocations made while they ran. */
+    std::uint64_t
+    run(WorkloadSpec spec, std::uint64_t ops)
+    {
+        spec.operationCount = ops;
+        ClientPool pool(ctx_, *engine_, spec, kThreads);
+        const std::uint64_t before = heapAllocations();
+        pool.start();
+        while (!pool.done() && ctx_.events().step()) {
+        }
+        const std::uint64_t during = heapAllocations() - before;
+        EXPECT_EQ(pool.stats().opsCompleted, ops);
+        return during;
+    }
+
+    std::uint64_t
+    stat(const char *name) const
+    {
+        return engine_->stats().get(name);
+    }
+
+    SimContext ctx_;
+    SimContextScope scope_;
+    std::unique_ptr<Ssd> ssd_;
+    std::unique_ptr<KvEngine> engine_;
+};
+
+TEST_F(EngineAllocs, ReadOnlyQueriesAllocateNothing)
+{
+    constexpr std::uint64_t kOps = 8000;
+    const std::uint64_t gets0 = stat("engine.gets");
+    const std::uint64_t ckpts0 = stat("engine.checkpoints");
+
+    EXPECT_EQ(run(WorkloadSpec::c(), kOps), 0u);
+    EXPECT_EQ(stat("engine.gets") - gets0, kOps);
+    EXPECT_EQ(stat("engine.checkpoints"), ckpts0);
+}
+
+TEST_F(EngineAllocs, GroupCommitsAllocateOnlyTheirWriteBuffers)
+{
+    const std::uint64_t flushes0 = stat("engine.journalFlushes");
+    const std::uint64_t updates0 = stat("engine.updates");
+    const std::uint64_t ckpts0 = stat("engine.checkpoints");
+    ASSERT_EQ(engine_->journal().jmtSize(), 512u);
+
+    const std::uint64_t allocs = run(WorkloadSpec::a(), 4000);
+    const std::uint64_t flushes =
+        stat("engine.journalFlushes") - flushes0;
+
+    EXPECT_GT(stat("engine.updates") - updates0, 1000u);
+    EXPECT_GT(flushes, 0u);
+    EXPECT_EQ(allocs, kAllocsPerGroupCommit * flushes)
+        << allocs << " allocations over " << flushes
+        << " group commits";
+    // The window stayed between checkpoints.
+    EXPECT_EQ(stat("engine.checkpoints"), ckpts0);
+    EXPECT_EQ(engine_->journal().jmtSize(), 512u);
+}
+
+} // namespace
+} // namespace checkin

@@ -6,7 +6,8 @@ Stdlib-only schema check for the JSON files the simulator emits:
   trace.json         Chrome trace_event export (obs/trace.h)
   attribution.json   per-op latency attribution (obs/attribution.h)
   checkpoints.json   per-checkpoint phase timeline
-  metrics.json       typed metrics registry export
+  metrics.json       typed metrics registry export; its
+                     sim.clampedSchedules counter must be 0
   summary.json       RunResult export (harness/run_export.h)
   cluster.json       cluster run export (src/cluster/cluster.h)
   telemetry.json     windowed probe series (obs/telemetry.h);
@@ -182,6 +183,13 @@ def validate_checkpoints(path, doc):
 def validate_metrics(path, doc):
     for key in ("counters", "gauges", "histograms", "series"):
         require(path, doc, key, dict)
+    # Kernel health: a schedule into the past is clamped to now() and
+    # counted; any clamp is a model bug, not a tolerable event.
+    counters = doc.get("counters")
+    if isinstance(counters, dict):
+        clamped = require(path, counters, "sim.clampedSchedules", int)
+        if clamped is not None and clamped != 0:
+            err(path, f"sim.clampedSchedules is {clamped}, must be 0")
 
 
 def validate_summary(path, doc):
