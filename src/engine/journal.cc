@@ -52,42 +52,39 @@ formatLogSize(std::uint32_t value_bytes, std::uint32_t unit_bytes,
 }
 
 JournalManager::JournalManager(SimContext &ctx, Ssd &ssd,
-                               const DiskLayout &layout,
+                               const JournalArea &area,
                                const EngineConfig &cfg,
-                               StatRegistry &stats)
+                               StatRegistry &stats,
+                               JournalFormat format)
     : eq_(ctx.events()),
       ssd_(ssd),
-      layout_(layout),
+      area_(area),
       cfg_(cfg),
-      stats_(stats)
+      stats_(stats),
+      format_(std::move(format)),
+      telem_(ctx.telemetry())
 {
-    image_[0].assign(layout_.journalChunks(), 0);
-    image_[1].assign(layout_.journalChunks(), 0);
     obs::nameLane(obs::Cat::Engine, kJournalLane, "journal");
-    telem_ = ctx.telemetry();
-    if (telem_ != nullptr && telem_->enabled()) {
-        telem_->addGauge("journal.bytes", [this] {
-            return activeJournalBytes();
-        });
-        telem_->addGauge("journal.jmtSize", [this] {
-            return std::uint64_t(jmt_.size());
-        });
-        telem_->addGauge("journal.pending", [this] {
-            return std::uint64_t(pendingCount());
-        });
-        telem_->addGauge("journal.stalled", [this] {
-            return std::uint64_t(stalledForSpace_ ? 1 : 0);
-        });
-        telem_->addCounter("journal.stalls", [this] {
-            return stats_.get("engine.journalStalls");
-        });
-    }
 }
 
 std::uint32_t
 JournalManager::unitChunks() const
 {
     return ssd_.ftl().mappingUnitBytes() / kChunkBytes;
+}
+
+FormattedSize
+JournalManager::storedSize(std::uint32_t value_bytes) const
+{
+    if (format_.layout == RecordLayout::UnitAligned) {
+        const std::uint32_t uc = unitChunks();
+        const std::uint64_t units = std::max<std::uint64_t>(
+            1, divCeil(divCeil(value_bytes, kChunkBytes), uc));
+        return FormattedSize{std::uint32_t(units * uc),
+                             LogType::Full};
+    }
+    return formatLogSize(value_bytes, ssd_.ftl().mappingUnitBytes(),
+                         cfg_.alignedJournaling(), cfg_.compressRatio);
 }
 
 void
@@ -195,7 +192,8 @@ JournalManager::placeGroup(std::size_t n, std::vector<Placed> &placed,
                            std::uint64_t &end_chunk)
 {
     const std::uint32_t uc = unitChunks();
-    const bool aligned = cfg_.alignedJournaling();
+    const bool algorithm2 = format_.layout == RecordLayout::Algorithm2;
+    const bool aligned = !algorithm2 || cfg_.alignedJournaling();
     std::uint64_t off = appendChunk_[active_];
     first_chunk = aligned ? alignUp(off, uc) : off;
     std::uint64_t cursor = first_chunk;
@@ -209,9 +207,7 @@ JournalManager::placeGroup(std::size_t n, std::vector<Placed> &placed,
 
     if (!aligned) {
         for (std::size_t i = 0; i < n; ++i) {
-            const FormattedSize f = formatLogSize(
-                group[i].valueBytes, ssd_.ftl().mappingUnitBytes(),
-                false, cfg_.compressRatio);
+            const FormattedSize f = storedSize(group[i].valueBytes);
             slots_.push_back(Slot{i, cursor, f.chunks, f.type, kNoBin});
             cursor += f.chunks;
         }
@@ -219,9 +215,7 @@ JournalManager::placeGroup(std::size_t n, std::vector<Placed> &placed,
         // FULL records first, each at a unit boundary.
         partials_.clear();
         for (std::size_t i = 0; i < n; ++i) {
-            const FormattedSize f = formatLogSize(
-                group[i].valueBytes, ssd_.ftl().mappingUnitBytes(),
-                true, cfg_.compressRatio);
+            const FormattedSize f = storedSize(group[i].valueBytes);
             if (f.type == LogType::Full) {
                 slots_.push_back(
                     Slot{i, cursor, f.chunks, f.type, kNoBin});
@@ -266,15 +260,25 @@ JournalManager::placeGroup(std::size_t n, std::vector<Placed> &placed,
         }
     }
     end_chunk = cursor;
-    if (end_chunk > layout_.journalChunks())
+    if (end_chunk > area_.chunks())
         return false;
 
-    statMergedUnits_.add(merged_units);
-    statPartialUnits_.add(partial_units);
+    if (algorithm2) {
+        statMergedUnits_.add(merged_units);
+        statPartialUnits_.add(partial_units);
+    }
     placed.reserve(slots_.size());
     for (const Slot &s : slots_) {
-        placed.push_back(Placed{std::move(group[s.index]), s.chunkOff,
-                                s.chunks, s.type});
+        Pending &p = group[s.index];
+        JmtEntry e;
+        e.key = p.key;
+        e.version = p.version;
+        e.half = active_;
+        e.chunkOff = s.chunkOff;
+        e.chunks = s.chunks;
+        e.payloadBytes = p.valueBytes;
+        e.type = s.type;
+        placed.push_back(Placed{e, std::move(p.cb), p.op});
     }
     return true;
 }
@@ -285,75 +289,64 @@ JournalManager::submitGroup(std::vector<Placed> placed,
                             std::uint64_t end_chunk)
 {
     const std::uint8_t half = active_;
-    std::vector<std::uint64_t> &image = image_[half];
-
-    // Lay the records' chunk tokens into the half image.
-    for (const Placed &pl : placed) {
-        if (pl.pending.valueBytes == 0) {
-            image[pl.chunkOff] = tombstoneToken(pl.pending.key,
-                                                pl.pending.version);
-            statTombstones_.add();
-        } else {
-            for (std::uint32_t c = 0; c < pl.chunks; ++c) {
-                image[pl.chunkOff + c] = dataChunkToken(
-                    pl.pending.key, pl.pending.version, c);
-            }
-        }
-        statJournalLogs_.add();
-        statJournalChunksStored_.add(pl.chunks);
-        statJournalPayloadBytes_.add(pl.pending.valueBytes);
-    }
-    appendChunk_[half] = end_chunk;
-    logsAppended_[half] += placed.size();
 
     // The dirty sector range. Conventional packing re-writes the
-    // partially filled first sector (tail rewrite); aligned mode
-    // always starts on a fresh unit.
+    // partially filled first sector (tail rewrite); aligned layouts
+    // always start on a fresh unit.
     const std::uint64_t s0 = first_chunk / kChunksPerSector;
     const std::uint64_t s1 =
         divCeil(end_chunk, kChunksPerSector); // exclusive
     std::vector<SectorData> payload(s1 - s0);
-    for (std::uint64_t s = s0; s < s1; ++s) {
-        for (std::uint32_t c = 0; c < kChunksPerSector; ++c) {
-            payload[s - s0].chunks[c] =
-                image[s * kChunksPerSector + c];
+    if (s0 * kChunksPerSector < appendChunk_[half])
+        payload[0] = tail_[half];
+    auto put = [&payload, s0](std::uint64_t chunk, std::uint64_t tok) {
+        payload[chunk / kChunksPerSector - s0]
+            .chunks[chunk % kChunksPerSector] = tok;
+    };
+
+    // Lay the records' chunk tokens into the payload.
+    const bool unit_aligned =
+        format_.layout == RecordLayout::UnitAligned;
+    for (const Placed &pl : placed) {
+        const JmtEntry &e = pl.entry;
+        if (e.payloadBytes == 0) {
+            put(e.chunkOff, tombstoneToken(e.key, e.version));
+            statTombstones_.add();
+        } else {
+            const auto tokens =
+                unit_aligned ? std::uint32_t(divCeil(e.payloadBytes,
+                                                     kChunkBytes))
+                             : e.chunks;
+            for (std::uint32_t c = 0; c < tokens; ++c)
+                put(e.chunkOff + c, dataChunkToken(e.key, e.version, c));
         }
+        statJournalLogs_.add();
+        statJournalChunksStored_.add(e.chunks);
+        statJournalPayloadBytes_.add(e.payloadBytes);
+        payloadBytes_[half] += e.payloadBytes;
     }
+    tail_[half] = payload.back();
+    appendChunk_[half] = end_chunk;
+    logsAppended_[half] += placed.size();
 
     statJournalFlushes_.add();
     statJournalSectorsWritten_.add(payload.size());
 
-    Command cmd = Command::write(layout_.journalStart[half] + s0,
+    Command cmd = Command::write(area_.start[half] + s0,
                                  std::move(payload), IoCause::Journal);
     {
-        // Annotate every mapping-unit-aligned record's units with its
-        // checkpoint target + version so the device can rebuild
-        // remaps after power loss (paper §III-G). The condition
-        // matches exactly the records the ISCE may remap: Check-In
-        // FULL records always qualify; conventional (byte-packed)
-        // records qualify when they happen to align. Merged/partial
-        // units carry no target (they are copied, not remapped).
-        const std::uint32_t spu = ssd_.ftl().sectorsPerUnit();
+        // Per-unit OOB annotations let the device rebuild remaps of
+        // journal units after power loss (paper §III-G); the backend
+        // decides which units carry which destination.
         const std::uint32_t uc = unitChunks();
         const std::uint64_t first_unit = first_chunk / uc;
-        const std::uint64_t unit_count =
-            divCeil(end_chunk, uc) - first_unit;
+        std::vector<OobEntry> unit_oob(divCeil(end_chunk, uc) -
+                                       first_unit);
         bool any = false;
-        std::vector<OobEntry> unit_oob(unit_count);
         for (const Placed &pl : placed) {
-            if (pl.pending.valueBytes == 0 ||
-                pl.chunkOff % uc != 0 || pl.chunks % uc != 0) {
-                continue;
-            }
-            const Lpn target0 =
-                layout_.targetLba(pl.pending.key) / spu;
-            const std::uint64_t base =
-                pl.chunkOff / uc - first_unit;
-            for (std::uint32_t k = 0; k < pl.chunks / uc; ++k) {
-                unit_oob[base + k].version = pl.pending.version;
-                unit_oob[base + k].targetLpn = target0 + k;
-            }
-            any = true;
+            any |= format_.annotate(
+                pl.entry,
+                &unit_oob[pl.entry.chunkOff / uc - first_unit]);
         }
         if (any)
             cmd.unitOob = std::move(unit_oob);
@@ -368,10 +361,10 @@ JournalManager::submitGroup(std::vector<Placed> placed,
     if (obs::attributionOn()) {
         member_ops.reserve(placed.size());
         for (const Placed &pl : placed)
-            member_ops.push_back(pl.pending.op);
+            member_ops.push_back(pl.op);
     }
     ssd_.submit(std::move(cmd),
-                [this, half, submitted, group_sectors,
+                [this, submitted, group_sectors,
                  placed = std::move(placed)](
                     const CmdResult &r) mutable {
         const Tick done = r.require();
@@ -380,28 +373,14 @@ JournalManager::submitGroup(std::vector<Placed> placed,
                   {{"logs", placed.size()},
                    {"sectors", group_sectors}});
         for (Placed &pl : placed) {
-            JmtEntry entry;
-            entry.key = pl.pending.key;
-            entry.version = pl.pending.version;
-            entry.half = half;
-            entry.chunkOff = pl.chunkOff;
-            entry.chunks = pl.chunks;
-            entry.payloadBytes = pl.pending.valueBytes;
-            entry.type = pl.type;
-            // Aligned placement reorders records within the group, so
-            // guard against a same-key older version landing last.
-            auto it = jmt_.find(entry.key);
-            if (it == jmt_.end() ||
-                it->second.version < entry.version) {
-                jmt_[entry.key] = entry;
-            }
-            if (pl.pending.cb)
-                pl.pending.cb(entry, done);
+            format_.onCommit(pl.entry);
+            if (pl.cb)
+                pl.cb(pl.entry, done);
         }
         flushInFlight_ = false;
         if (quiesceCb_) {
             // A checkpoint is waiting to switch halves; hold further
-            // flushes until it has snapshotted the JMT.
+            // flushes until the owner has snapshotted the old half.
             auto cb = std::move(quiesceCb_);
             quiesceCb_ = nullptr;
             cb();
@@ -429,15 +408,10 @@ JournalManager::submitGroup(std::vector<Placed> placed,
     }
 }
 
-std::vector<JmtEntry>
-JournalManager::beginCheckpoint()
+void
+JournalManager::switchHalves()
 {
     assert(otherHalfFree() && "both journal halves busy");
-    std::vector<JmtEntry> snapshot;
-    snapshot.reserve(jmt_.size());
-    for (auto &[key, entry] : jmt_)
-        snapshot.push_back(entry);
-    jmt_.clear();
     halfBusy_[active_] = true;
     active_ ^= 1;
     assert(appendChunk_[active_] == 0);
@@ -447,7 +421,6 @@ JournalManager::beginCheckpoint()
         stallEnd_ = eq_.now();
     stalledForSpace_ = false;
     startFlush();
-    return snapshot;
 }
 
 void
@@ -455,14 +428,56 @@ JournalManager::onHalfFreed(std::uint8_t half)
 {
     assert(halfBusy_[half]);
     halfBusy_[half] = false;
-    std::fill(image_[half].begin(), image_[half].end(), 0);
     appendChunk_[half] = 0;
     logsAppended_[half] = 0;
+    payloadBytes_[half] = 0;
     if (stalledForSpace_ && onPressure_) {
         // Still wedged on the (full) active half: ask for another
         // checkpoint now that a switch target exists.
         onPressure_();
     }
+}
+
+std::vector<ParsedRecord>
+parseRecords(const Ssd &ssd, Lba start, std::uint64_t sectors,
+             std::uint32_t stride)
+{
+    std::vector<SectorData> buf(sectors);
+    ssd.peek(start, std::uint32_t(sectors), buf.data());
+    const std::uint64_t nchunks = sectors * kChunksPerSector;
+    auto token = [&buf](std::uint64_t pos) {
+        return decodeToken(
+            buf[pos / kChunksPerSector].chunks[pos % kChunksPerSector]);
+    };
+    std::vector<ParsedRecord> recs;
+    std::uint64_t pos = 0;
+    while (pos < nchunks) {
+        const DecodedToken d = token(pos);
+        if (d.tag == TokenTag::Tombstone) {
+            recs.push_back(
+                ParsedRecord{d.key, std::uint32_t(d.version), pos, 0});
+            pos += stride;
+            continue;
+        }
+        if (d.tag != TokenTag::Data || d.aux != 0) {
+            pos += stride;
+            continue;
+        }
+        std::uint64_t n = 1;
+        while (pos + n < nchunks) {
+            const DecodedToken dn = token(pos + n);
+            if (dn.tag == TokenTag::Data && dn.key == d.key &&
+                dn.version == d.version && dn.aux == n) {
+                ++n;
+            } else {
+                break;
+            }
+        }
+        recs.push_back(ParsedRecord{d.key, std::uint32_t(d.version),
+                                    pos, std::uint32_t(n)});
+        pos += alignUp(n, stride);
+    }
+    return recs;
 }
 
 } // namespace checkin

@@ -1,8 +1,8 @@
 /**
  * @file
- * Journaling layer: write-ahead logging with group commit, the
- * journal mapping table (JMT), two ping-pong journal halves, and the
- * Check-In block aligner (paper Algorithm 2).
+ * Journaling layer shared by every storage-engine backend:
+ * write-ahead logging with group commit, two ping-pong journal
+ * halves, and the Check-In block aligner (paper Algorithm 2).
  *
  * Conventional mode packs journal records back-to-back at 128 B chunk
  * granularity (so commits rewrite the partially-filled tail sector —
@@ -16,12 +16,10 @@
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "engine/engine_config.h"
-#include "engine/layout.h"
 #include "obs/attribution.h"
 #include "sim/event_queue.h"
 #include "sim/inline_event.h"
@@ -40,7 +38,8 @@ enum class LogType : std::uint8_t
     Merged,  //!< sub-unit record sharing a unit with others
 };
 
-/** One journal mapping table entry (latest log of a key). */
+/** A committed journal record's placement; Check-In's journal
+ *  mapping table (JMT) keeps the latest one per key. */
 struct JmtEntry
 {
     std::uint64_t key = 0;
@@ -73,7 +72,59 @@ FormattedSize formatLogSize(std::uint32_t value_bytes,
                             std::uint32_t unit_bytes, bool aligned,
                             double compress_ratio);
 
-/** Write-ahead journal with group commit over an Ssd. */
+/** Where a journal's two ping-pong halves live on the device. */
+struct JournalArea
+{
+    Lba start[2] = {0, 0};
+    std::uint64_t sectors = 0; //!< per half
+
+    /** Chunk capacity of one half. */
+    std::uint64_t
+    chunks() const
+    {
+        return sectors * kChunksPerSector;
+    }
+};
+
+/** How a backend lays its records out inside a journal half. */
+enum class RecordLayout : std::uint8_t
+{
+    /** Check-In: Algorithm 2 when EngineConfig::mode aligns records,
+     *  conventional 128 B chunk packing otherwise. */
+    Algorithm2,
+    /**
+     * LSM identity-offset layout: records in arrival order, each
+     * starting on a mapping-unit boundary and padded to whole units
+     * (a tombstone is one token alone in one unit), so a frozen half
+     * promotes unit-for-unit into an L0 region. Data tokens cover
+     * ceil(bytes / 128) chunks; the padding stays zero.
+     */
+    UnitAligned,
+};
+
+/** What a backend plugs into the shared journal at construction. */
+struct JournalFormat
+{
+    RecordLayout layout = RecordLayout::Algorithm2;
+    /**
+     * Per-unit OOB annotation of one placed record, called in
+     * placement order while its group's write is built: fill the
+     * record's units (@p unit[k] for k < its unit span) and return
+     * true, or return false to leave them unannotated.
+     */
+    std::function<bool(const JmtEntry &, OobEntry *unit)> annotate;
+    /** Commit hook: fired for every record of a completed group
+     *  commit, in placement order, before that record's CommitCb. */
+    std::function<void(const JmtEntry &)> onCommit;
+};
+
+/**
+ * Write-ahead journal with group commit over an Ssd — the one WAL of
+ * every storage-engine backend. The backend's JournalFormat decides
+ * record layout and per-unit OOB annotation; the journal owns group
+ * selection, placement, the device write, space stalls, quiesce and
+ * the ping-pong halves.
+ */
 class JournalManager
 {
   public:
@@ -84,9 +135,9 @@ class JournalManager
     /** Fired when the journal wants a checkpoint (space pressure). */
     using PressureCb = std::function<void()>;
 
-    JournalManager(SimContext &ctx, Ssd &ssd,
-                   const DiskLayout &layout,
-                   const EngineConfig &cfg, StatRegistry &stats);
+    JournalManager(SimContext &ctx, Ssd &ssd, const JournalArea &area,
+                   const EngineConfig &cfg, StatRegistry &stats,
+                   JournalFormat format);
 
     void setPressureCallback(PressureCb cb)
     {
@@ -113,6 +164,7 @@ class JournalManager
      * Append a transaction: all records are guaranteed to flush in
      * the same group commit (one atomic device write, paper Fig 7),
      * so a crash either persists all of them or none.
+     * @throws std::invalid_argument above EngineConfig::maxCommitGroup.
      */
     void appendBatch(std::vector<BatchRecord> records);
 
@@ -127,25 +179,29 @@ class JournalManager
     }
 
     /**
-     * Begin a checkpoint: snapshot and clear the JMT, mark the active
-     * half as being checkpointed, and switch logging to the other
-     * (free) half. The caller owns checkpointing the returned entries
-     * and must call onHalfFreed() once the logs are deleted.
+     * Begin a checkpoint: mark the active half as being checkpointed
+     * and switch logging to the other (free) half. The caller owns
+     * checkpointing the old half's records and must call
+     * onHalfFreed() once its logs are deleted.
      */
-    std::vector<JmtEntry> beginCheckpoint();
+    void switchHalves();
 
     /** The checkpointed half's logs were deleted on the device. */
     void onHalfFreed(std::uint8_t half);
 
-    /** Bytes of logs accumulated in the active half. */
+    /** Bytes of log space used in the active half. */
     std::uint64_t
     activeJournalBytes() const
     {
         return appendChunk_[active_] * kChunkBytes;
     }
 
-    /** Entries currently in the JMT (latest versions). */
-    std::size_t jmtSize() const { return jmt_.size(); }
+    /** Value bytes of the records placed in the active half. */
+    std::uint64_t
+    activePayloadBytes() const
+    {
+        return payloadBytes_[active_];
+    }
 
     /** Total logs appended to the active half since its last reset. */
     std::uint64_t
@@ -170,7 +226,7 @@ class JournalManager
     /**
      * Run @p cb as soon as no flush is outstanding, suppressing the
      * next flush until then. Used before switching halves so every
-     * record of the old half is in the JMT when it is snapshotted.
+     * record of the old half has committed when it is snapshotted.
      */
     void quiesce(std::function<void()> cb);
 
@@ -189,13 +245,14 @@ class JournalManager
 
     struct Placed
     {
-        Pending pending;
-        std::uint64_t chunkOff;
-        std::uint32_t chunks;
-        LogType type;
+        JmtEntry entry;
+        CommitCb cb;
+        obs::OpToken op;
     };
 
     std::uint32_t unitChunks() const;
+    /** Stored size of a @p value_bytes record in this layout. */
+    FormattedSize storedSize(std::uint32_t value_bytes) const;
 
     void startFlush();
     /**
@@ -212,9 +269,10 @@ class JournalManager
 
     EventQueue &eq_;
     Ssd &ssd_;
-    const DiskLayout &layout_;
+    const JournalArea area_;
     const EngineConfig &cfg_;
     StatRegistry &stats_;
+    const JournalFormat format_;
     /** Telemetry sampler of the run (nullptr: telemetry off). */
     obs::TelemetrySampler *telem_ = nullptr;
     PressureCb onPressure_;
@@ -251,10 +309,12 @@ class JournalManager
     bool halfBusy_[2] = {false, false};
     std::uint64_t appendChunk_[2] = {0, 0};
     std::uint64_t logsAppended_[2] = {0, 0};
-    /** Chunk-token image of each half (journal write buffer/cache). */
-    std::vector<std::uint64_t> image_[2];
-
-    std::unordered_map<std::uint64_t, JmtEntry> jmt_;
+    std::uint64_t payloadBytes_[2] = {0, 0};
+    /** Last sector written to each half. When a group ends inside it,
+     *  the next group re-writes it with its earlier tokens (the
+     *  conventional tail rewrite); no other earlier content is ever
+     *  read back. */
+    SectorData tail_[2];
 
     /** One record's dry placement (placeGroup scratch). */
     struct Slot
@@ -279,6 +339,25 @@ class JournalManager
     std::vector<std::pair<std::size_t, FormattedSize>> partials_;
     std::vector<Bin> bins_;
 };
+
+/** One record recovered from a journal half or data area. */
+struct ParsedRecord
+{
+    std::uint64_t key = 0;
+    std::uint32_t version = 0;
+    std::uint64_t chunkOff = 0; //!< from the area start
+    std::uint32_t chunks = 0;   //!< data tokens; 0 = tombstone
+};
+
+/**
+ * Parse the records of the @p sectors -sector area at @p start (a
+ * device peek, no simulated time). Records start every @p stride
+ * chunks: 1 for byte-packed areas, the unit size in chunks for
+ * unit-aligned ones, where each record occupies whole strides.
+ */
+std::vector<ParsedRecord> parseRecords(const Ssd &ssd, Lba start,
+                                       std::uint64_t sectors,
+                                       std::uint32_t stride);
 
 } // namespace checkin
 

@@ -8,63 +8,31 @@
 #include <stdexcept>
 
 #include "engine/record.h"
-#include "obs/attribution.h"
-#include "obs/telemetry.h"
 #include "obs/trace.h"
 
 namespace checkin {
 
-namespace {
-
-/** Trace lane for checkpoint events (Cat::Engine). */
-constexpr std::uint32_t kCkptLane = 1;
-
-/** Sum of the device counters behind CheckpointStat::cowCommands. */
-std::uint64_t
-cowCommandCount(const StatRegistry &ds)
+KvEngine::KvEngine(SimContext &ctx, Ssd &ssd, const EngineConfig &cfg)
+    : KvEngine(ctx, ssd, cfg,
+               DiskLayout::compute(cfg, ssd.capacitySectors(),
+                                   ssd.ftl().sectorsPerUnit()))
 {
-    return ds.get("ssd.cmd.cowSingle") + ds.get("ssd.cmd.cowMulti") +
-           ds.get("ssd.cmd.checkpointRemap");
 }
 
-} // namespace
-
-KvEngine::KvEngine(SimContext &ctx, Ssd &ssd, const EngineConfig &cfg)
-    : eq_(ctx.events()),
-      ssd_(ssd),
-      cfg_(cfg),
-      layout_(DiskLayout::compute(cfg, ssd.capacitySectors(),
-                                  ssd.ftl().sectorsPerUnit())),
+KvEngine::KvEngine(SimContext &ctx, Ssd &ssd, const EngineConfig &cfg,
+                   const DiskLayout &layout)
+    : JournaledEngine(ctx, ssd, cfg,
+                      JournalArea{{layout.journalStart[0],
+                                   layout.journalStart[1]},
+                                  layout.journalSectors},
+                      RecordLayout::Algorithm2),
+      layout_(layout),
       keymap_(cfg.recordCount),
       hostCache_(cfg.hostCacheBytes),
-      journal_(ctx, ssd, layout_, cfg_, stats_),
       strategy_(CheckpointStrategy::create(ssd, layout_, cfg_,
-                                           stats_)),
-      policy_(CheckpointPolicy::create(cfg_)),
-      gate_(eq_, cfg_.hostCpuPerQuery)
+                                           stats_))
 {
-    journal_.setPressureCallback([this] {
-        requestCheckpoint(obs::CkptTrigger::SpacePressure);
-    });
     obs::nameLane(obs::Cat::Engine, kCkptLane, "checkpoint");
-    telem_ = ctx.telemetry();
-    if (telem_ != nullptr && telem_->enabled()) {
-        telem_->addGauge("engine.deferredOps", [this] {
-            return std::uint64_t(gate_.held());
-        });
-        telem_->addGauge("engine.keymapSize", [this] {
-            return std::uint64_t(keymap_.size());
-        });
-        telem_->addGauge("engine.ckptInProgress", [this] {
-            return std::uint64_t(ckptInProgress_ ? 1 : 0);
-        });
-        telem_->addGauge("journal.fillRate", [this] {
-            return std::uint64_t(policy_->fillRateBytesPerSec());
-        });
-        telem_->addCounter("engine.checkpoints", [this] {
-            return stats_.get("engine.checkpoints");
-        });
-    }
 }
 
 void
@@ -122,125 +90,6 @@ KvEngine::load(
 }
 
 void
-KvEngine::start()
-{
-    if (policy_->timerPeriod() > 0)
-        eq_.scheduleAfter(policy_->timerPeriod(),
-                          [this] { onCheckpointTimer(); });
-}
-
-void
-KvEngine::onCheckpointTimer()
-{
-    const PolicyDecision d = policy_->onTimer(policySignals());
-    if (d.checkpoint)
-        requestCheckpoint(d.trigger);
-    if (policy_->timerPeriod() > 0)
-        eq_.scheduleAfter(policy_->timerPeriod(),
-                          [this] { onCheckpointTimer(); });
-}
-
-PolicySignals
-KvEngine::policySignals() const
-{
-    PolicySignals sig;
-    sig.now = eq_.now();
-    sig.journalBytes = journal_.activeJournalBytes();
-    sig.journalCapacityBytes = cfg_.journalHalfBytes;
-    sig.checkpointInProgress = ckptInProgress_;
-    sig.checkpointStallTicks =
-        obs::attrLiveStageTicks(obs::Stage::CheckpointStall);
-    return sig;
-}
-
-void
-KvEngine::noteJournalAppend()
-{
-    policy_->noteAppend(eq_.now(), journal_.activeJournalBytes());
-    if (ckptInProgress_)
-        return;
-    const PolicyDecision d = policy_->onAppend(policySignals());
-    if (d.checkpoint)
-        requestCheckpoint(d.trigger);
-}
-
-void
-KvEngine::get(std::uint64_t key, QueryCb cb)
-{
-    const obs::OpToken op = obs::attrCurrentOp();
-    auto task = [this, key, op, cb = std::move(cb)]() mutable {
-        // A deferred task ran later than scheduled; the gap was spent
-        // behind the checkpoint lock (monotone no-op otherwise).
-        obs::attrMark(op, obs::Stage::CheckpointStall, eq_.now());
-        obs::AttrOpScope attr_scope(op);
-        doGet(key, std::move(cb));
-    };
-    gate_.admit(queriesLocked(), op, std::move(task));
-}
-
-void
-KvEngine::update(std::uint64_t key, std::uint32_t value_bytes,
-                 QueryCb cb)
-{
-    const obs::OpToken op = obs::attrCurrentOp();
-    auto task = [this, key, value_bytes, op,
-                 cb = std::move(cb)]() mutable {
-        obs::attrMark(op, obs::Stage::CheckpointStall, eq_.now());
-        obs::AttrOpScope attr_scope(op);
-        doUpdate(key, value_bytes, std::move(cb));
-    };
-    gate_.admit(queriesLocked(), op, std::move(task));
-}
-
-void
-KvEngine::readModifyWrite(std::uint64_t key,
-                          std::uint32_t value_bytes, QueryCb cb)
-{
-    const obs::OpToken op = obs::attrCurrentOp();
-    get(key, [this, key, value_bytes, op,
-              cb = std::move(cb)](const QueryResult &r1) mutable {
-        const bool first_during = r1.duringCheckpoint;
-        // The continuation runs from a completion callback where the
-        // ambient current op is gone; re-scope it so the update leg
-        // attributes to the same op.
-        obs::AttrOpScope attr_scope(op);
-        update(key, value_bytes,
-               [cb = std::move(cb),
-                first_during](const QueryResult &r2) {
-                   QueryResult res = r2;
-                   res.duringCheckpoint |= first_during;
-                   cb(res);
-               });
-    });
-}
-
-void
-KvEngine::erase(std::uint64_t key, QueryCb cb)
-{
-    const obs::OpToken op = obs::attrCurrentOp();
-    auto task = [this, key, op, cb = std::move(cb)]() mutable {
-        obs::attrMark(op, obs::Stage::CheckpointStall, eq_.now());
-        obs::AttrOpScope attr_scope(op);
-        doErase(key, std::move(cb));
-    };
-    gate_.admit(queriesLocked(), op, std::move(task));
-}
-
-void
-KvEngine::scan(std::uint64_t start_key, std::uint32_t count,
-               QueryCb cb)
-{
-    const obs::OpToken op = obs::attrCurrentOp();
-    auto task = [this, start_key, count, op,
-                 cb = std::move(cb)]() mutable {
-        obs::attrMark(op, obs::Stage::CheckpointStall, eq_.now());
-        obs::AttrOpScope attr_scope(op);
-        doScan(start_key, count, std::move(cb));
-    };
-    gate_.admit(queriesLocked(), op, std::move(task));
-}
-
-void
 KvEngine::doGet(std::uint64_t key, QueryCb cb)
 {
     assert(key < cfg_.recordCount);
@@ -289,119 +138,61 @@ KvEngine::doGet(std::uint64_t key, QueryCb cb)
                 });
 }
 
-void
-KvEngine::doUpdate(std::uint64_t key, std::uint32_t value_bytes,
-                   QueryCb cb)
+bool
+KvEngine::annotateRecord(const JmtEntry &e, OobEntry *unit)
 {
-    assert(key < cfg_.recordCount);
-    assert(value_bytes > 0 && value_bytes <= cfg_.maxValueBytes);
-    const std::uint32_t version = ++keymap_[key].assignedVersion;
-    const bool ckpt_at_submit = ckptInProgress_;
-    journal_.append(
-        key, version, value_bytes,
-        [this, key, cb = std::move(cb),
-         ckpt_at_submit](const JmtEntry &e, Tick done) {
-            KeyState &st = keymap_[key];
-            if (e.version > st.version) {
-                st.version = e.version;
-                st.storedChunks = e.chunks;
-                st.inJournal = true;
-                st.half = e.half;
-                st.journalChunk = e.chunkOff;
-            }
-            statUpdates_.add();
-            statUpdateBytes_.add(e.payloadBytes);
-            hostCache_.insert(key, e.version, e.chunks * kChunkBytes);
-            noteJournalAppend();
-            cb(QueryResult{done,
-                           ckpt_at_submit || ckptInProgress_, true});
-        });
+    // Annotate every mapping-unit-aligned record's units with its
+    // checkpoint target + version so the device can rebuild remaps
+    // after power loss (paper §III-G). The condition matches exactly
+    // the records the ISCE may remap: Check-In FULL records always
+    // qualify; conventional (byte-packed) records qualify when they
+    // happen to align. Merged/partial units carry no target (they are
+    // copied, not remapped).
+    const std::uint32_t uc = ssd_.ftl().mappingUnitBytes() / kChunkBytes;
+    if (e.payloadBytes == 0 || e.chunkOff % uc != 0 ||
+        e.chunks % uc != 0) {
+        return false;
+    }
+    const Lpn target0 =
+        layout_.targetLba(e.key) / ssd_.ftl().sectorsPerUnit();
+    for (std::uint32_t k = 0; k < e.chunks / uc; ++k) {
+        unit[k].version = e.version;
+        unit[k].targetLpn = target0 + k;
+    }
+    return true;
 }
 
 void
-KvEngine::updateBatch(std::vector<BatchOp> ops, QueryCb cb)
+KvEngine::onRecordCommitted(const JmtEntry &e)
 {
-    const obs::OpToken op = obs::attrCurrentOp();
-    auto task = [this, ops = std::move(ops), op,
-                 cb = std::move(cb)]() mutable {
-        assert(!ops.empty());
-        obs::attrMark(op, obs::Stage::CheckpointStall, eq_.now());
-        obs::AttrOpScope attr_scope(op);
-        const bool ckpt_at_submit = ckptInProgress_;
-        struct TxnState
-        {
-            std::size_t outstanding;
-            Tick last = 0;
-            QueryCb cb;
-        };
-        auto txn = std::make_shared<TxnState>();
-        txn->outstanding = ops.size();
-        txn->cb = std::move(cb);
-        std::vector<JournalManager::BatchRecord> records;
-        records.reserve(ops.size());
-        for (const BatchOp &op : ops) {
-            assert(op.key < cfg_.recordCount);
-            const std::uint32_t version =
-                ++keymap_[op.key].assignedVersion;
-            records.push_back(JournalManager::BatchRecord{
-                op.key, version, op.valueBytes,
-                [this, txn, ckpt_at_submit](const JmtEntry &e,
-                                            Tick done) {
-                    KeyState &st = keymap_[e.key];
-                    if (e.version > st.version) {
-                        st.version = e.version;
-                        st.storedChunks =
-                            e.payloadBytes == 0 ? 0 : e.chunks;
-                        st.inJournal = true;
-                        st.half = e.half;
-                        st.journalChunk = e.chunkOff;
-                        if (e.payloadBytes == 0) {
-                            hostCache_.erase(e.key);
-                        } else {
-                            hostCache_.insert(e.key, e.version,
-                                              e.chunks * kChunkBytes);
-                        }
-                    }
-                    txn->last = std::max(txn->last, done);
-                    if (--txn->outstanding == 0) {
-                        stats_.add("engine.batchCommits");
-                        noteJournalAppend();
-                        txn->cb(QueryResult{
-                            txn->last,
-                            ckpt_at_submit || ckptInProgress_,
-                            true});
-                    }
-                }});
-        }
-        journal_.appendBatch(std::move(records));
-    };
-    gate_.admit(queriesLocked(), op, std::move(task));
+    // Aligned placement reorders records within the group, so guard
+    // against a same-key older version landing last.
+    auto it = jmt_.find(e.key);
+    if (it == jmt_.end() || it->second.version < e.version)
+        jmt_[e.key] = e;
 }
 
 void
-KvEngine::doErase(std::uint64_t key, QueryCb cb)
+KvEngine::applyCommit(const JmtEntry &e, bool in_batch)
 {
-    assert(key < cfg_.recordCount);
-    const std::uint32_t version = ++keymap_[key].assignedVersion;
-    const bool ckpt_at_submit = ckptInProgress_;
-    journal_.append(
-        key, version, /*value_bytes=*/0,
-        [this, key, cb = std::move(cb),
-         ckpt_at_submit](const JmtEntry &e, Tick done) {
-            KeyState &st = keymap_[key];
-            if (e.version > st.version) {
-                st.version = e.version;
-                st.storedChunks = 0;
-                st.inJournal = true;
-                st.half = e.half;
-                st.journalChunk = e.chunkOff;
-            }
-            stats_.add("engine.deletes");
-            hostCache_.erase(key);
-            noteJournalAppend();
-            cb(QueryResult{done,
-                           ckpt_at_submit || ckptInProgress_, true});
-        });
+    KeyState &st = keymap_[e.key];
+    const bool tombstone = e.payloadBytes == 0;
+    const bool newer = e.version > st.version;
+    if (newer) {
+        st.version = e.version;
+        st.storedChunks = tombstone ? 0 : e.chunks;
+        st.inJournal = true;
+        st.half = e.half;
+        st.journalChunk = e.chunkOff;
+    }
+    // A single write always refreshes the host cache; a transaction's
+    // record only when it is the key's newest.
+    if (newer || !in_batch) {
+        if (tombstone)
+            hostCache_.erase(e.key);
+        else
+            hostCache_.insert(e.key, e.version, e.chunks * kChunkBytes);
+    }
 }
 
 void
@@ -412,26 +203,7 @@ KvEngine::doScan(std::uint64_t start_key, std::uint32_t count,
     stats_.add("engine.scans");
     const std::uint64_t end = std::min<std::uint64_t>(
         cfg_.recordCount, start_key + count);
-    const bool ckpt_at_submit = ckptInProgress_;
-
-    struct Job
-    {
-        std::size_t outstanding = 0;
-        Tick last = 0;
-        std::uint32_t scanned = 0;
-        bool launched = false;
-        QueryCb cb;
-    };
-    auto job = std::make_shared<Job>();
-    job->cb = std::move(cb);
-    auto complete = [this, job, ckpt_at_submit](const CmdResult &r) {
-        job->last = std::max(job->last, r.require());
-        if (--job->outstanding == 0 && job->launched) {
-            job->cb(QueryResult{job->last,
-                                ckpt_at_submit || ckptInProgress_,
-                                job->scanned > 0, job->scanned});
-        }
-    };
+    const std::shared_ptr<ScanJob> job = newScanJob(std::move(cb));
 
     // Journal-resident keys are fetched individually; the data-area
     // residents coalesce into one sequential slot-range read.
@@ -444,117 +216,44 @@ KvEngine::doScan(std::uint64_t start_key, std::uint32_t count,
         verifyKeyContent(key, st);
         ++job->scanned;
         if (st.inJournal) {
-            const Lba lba =
-                layout_.journalChunkLba(st.half, st.journalChunk);
             const auto shift = std::uint32_t(st.journalChunk %
                                              kChunksPerSector);
-            const auto nsect = std::uint32_t(divCeil(
-                shift + st.storedChunks, kChunksPerSector));
-            ++job->outstanding;
-            ssd_.submit(Command::read(lba, nsect, IoCause::Query),
-                        complete);
+            submitScanRead(
+                job, layout_.journalChunkLba(st.half, st.journalChunk),
+                divCeil(shift + st.storedChunks, kChunksPerSector));
         } else {
             data_first = std::min(data_first, key);
             data_last = std::max(data_last, key);
         }
     }
     if (data_first != kInvalidAddr) {
-        const Lba lba = layout_.targetLba(data_first);
         const std::uint64_t nsect =
             (data_last - data_first + 1) * layout_.slotSectors;
-        ++job->outstanding;
         stats_.add("engine.scanSequentialSectors", nsect);
-        ssd_.submit(Command::read(lba, nsect, IoCause::Query),
-                    complete);
+        submitScanRead(job, layout_.targetLba(data_first), nsect);
     }
-    job->launched = true;
-    if (job->outstanding == 0) {
-        // Nothing live in range: complete asynchronously.
-        eq_.scheduleAfter(0, [this, job, ckpt_at_submit] {
-            job->cb(QueryResult{eq_.now(),
-                                ckpt_at_submit || ckptInProgress_,
-                                false, 0});
-        });
-    }
-}
-
-void
-KvEngine::requestCheckpoint(obs::CkptTrigger reason)
-{
-    // A safety-bound trip is an anomaly even when the request
-    // coalesces into a checkpoint already in flight.
-    if (telem_ != nullptr && reason == obs::CkptTrigger::Safety) {
-        telem_->noteEvent(obs::TelemetryEvent::SafetyTrip,
-                          eq_.now(),
-                          journal_.activeJournalBytes());
-    }
-    if (ckptInProgress_) {
-        pendingCkptRequest_ = true;
-        return;
-    }
-    if (journal_.jmtSize() == 0)
-        return;
-    if (!journal_.otherHalfFree()) {
-        pendingCkptRequest_ = true;
-        return;
-    }
-    // The request that actually starts the checkpoint names it;
-    // coalesced earlier requests re-fire as Backlog.
-    ckptRec_.trigger = reason;
-    startCheckpoint();
+    launchScan(job);
 }
 
 void
 KvEngine::startCheckpoint()
 {
-    ckptInProgress_ = true;
-    ckptStart_ = eq_.now();
-    policy_->onCheckpointStart(ckptStart_);
-    if (telem_ != nullptr)
-        telem_->noteCheckpointStart(ckptStart_);
-    stats_.add("engine.checkpoints");
+    markCheckpointStart();
     obs::instant(obs::Cat::Engine, kCkptLane, "ckpt.start",
-                 ckptStart_, {{"jmtEntries", journal_.jmtSize()}});
+                 ckptStart_, {{"jmtEntries", jmt_.size()}});
     // Wait for any in-flight group commit: its records belong to the
     // half being checkpointed and must be in the JMT snapshot.
     journal_.quiesce([this] {
         stats_.add("engine.ckptLogsSeen",
                    journal_.logsInActiveHalf());
-        auto entries = std::make_shared<std::vector<JmtEntry>>(
-            journal_.beginCheckpoint());
+        auto entries = std::make_shared<std::vector<JmtEntry>>();
+        entries->reserve(jmt_.size());
+        for (const auto &[key, entry] : jmt_)
+            entries->push_back(entry);
+        jmt_.clear();
+        journal_.switchHalves();
         stats_.add("engine.ckptLatestEntries", entries->size());
-        if (obs::attributionOn()) {
-            const obs::CkptTrigger reason = ckptRec_.trigger;
-            ckptRec_ = obs::CheckpointStat{};
-            ckptRec_.trigger = reason;
-            ckptRec_.seq = ckptSeq_;
-            ckptRec_.startTick = ckptStart_;
-            for (const JmtEntry &e : *entries) {
-                ++ckptRec_.entries;
-                if (e.payloadBytes == 0)
-                    ++ckptRec_.tombstones;
-                switch (e.type) {
-                  case LogType::Raw: ++ckptRec_.rawRecords; break;
-                  case LogType::Full: ++ckptRec_.fullRecords; break;
-                  case LogType::Partial:
-                    ++ckptRec_.partialRecords;
-                    break;
-                  case LogType::Merged:
-                    ++ckptRec_.mergedRecords;
-                    break;
-                }
-            }
-            // Device-counter baselines; finishCheckpoint() turns
-            // them into per-checkpoint deltas.
-            const StatRegistry &ds = ssd_.stats();
-            ckptRec_.cowCommands = cowCommandCount(ds);
-            ckptRec_.remappedPairs = ds.get("isce.remappedPairs");
-            ckptRec_.remappedUnits = ds.get("isce.remappedUnits");
-            ckptRec_.copiedPairs = ds.get("isce.copiedPairs");
-            ckptRec_.copiedChunks = ds.get("isce.copiedChunks");
-            ckptRec_.bufferedSmallRecords =
-                ds.get("isce.bufferedSmallRecords");
-        }
+        openCheckpointRecord(*entries);
         const std::uint8_t half = journal_.activeHalf() ^ 1;
         // Tombstones do not move data; they trim their targets.
         auto values = std::make_shared<std::vector<JmtEntry>>();
@@ -580,24 +279,14 @@ KvEngine::trimTombstones(const std::vector<JmtEntry> &tombs,
         cb(eq_.now());
         return;
     }
-    struct Job
-    {
-        std::size_t outstanding;
-        Tick last = 0;
-        std::function<void(Tick)> cb;
-    };
-    auto job = std::make_shared<Job>();
+    auto job = std::make_shared<FanOut>();
     job->outstanding = tombs.size();
-    job->cb = std::move(cb);
+    job->done = std::move(cb);
     for (const JmtEntry &e : tombs) {
         stats_.add("engine.ckptTombstoneTrims");
         ssd_.submit(Command::trim(layout_.targetLba(e.key),
                                   layout_.slotSectors),
-                    [job](const CmdResult &r) {
-                        job->last = std::max(job->last, r.require());
-                        if (--job->outstanding == 0)
-                            job->cb(job->last);
-                    });
+                    [job](const CmdResult &r) { job->complete(r); });
     }
 }
 
@@ -634,7 +323,8 @@ KvEngine::onStrategyDone(const std::vector<JmtEntry> &entries,
                        t3 > ckptMetaDone_ ? t3 - ckptMetaDone_ : 0);
             obs::span(obs::Cat::Engine, kCkptLane, "ckpt.delete",
                       ckptMetaDone_, t3);
-            finishCheckpoint(half, t3);
+            journal_.onHalfFreed(half);
+            finishCheckpoint(t3, "checkpoint", {{"half", half}});
         });
     });
 }
@@ -655,15 +345,9 @@ KvEngine::writeCatalog(const std::vector<JmtEntry> &entries,
                         layout_.catalogStart;
         bases.insert(layout_.catalogStart + alignDown(rel, g));
     }
-    struct Job
-    {
-        std::size_t outstanding;
-        Tick last = 0;
-        std::function<void(Tick)> cb;
-    };
-    auto job = std::make_shared<Job>();
+    auto job = std::make_shared<FanOut>();
     job->outstanding = bases.size();
-    job->cb = std::move(cb);
+    job->done = std::move(cb);
     for (Lba base : bases) {
         std::vector<SectorData> payload(g);
         for (std::uint32_t s = 0; s < g; ++s) {
@@ -683,11 +367,7 @@ KvEngine::writeCatalog(const std::vector<JmtEntry> &entries,
         stats_.add("engine.catalogSectorsWritten", g);
         ssd_.submit(Command::write(base, std::move(payload),
                                    IoCause::Metadata),
-                    [job](const CmdResult &r) {
-                        job->last = std::max(job->last, r.require());
-                        if (--job->outstanding == 0)
-                            job->cb(job->last);
-                    });
+                    [job](const CmdResult &r) { job->complete(r); });
     }
 }
 
@@ -704,48 +384,6 @@ KvEngine::deleteLogs(std::uint8_t half, std::function<void(Tick)> cb)
                 [cb = std::move(cb)](const CmdResult &r) {
                     cb(r.require());
                 });
-}
-
-void
-KvEngine::finishCheckpoint(std::uint8_t half, Tick t)
-{
-    journal_.onHalfFreed(half);
-    ckptInProgress_ = false;
-    ckptDurations_.push_back(t - ckptStart_);
-    if (telem_ != nullptr)
-        telem_->noteCheckpointEnd(t, t - ckptStart_);
-    stats_.add("engine.ckptTicks", t - ckptStart_);
-    obs::span(obs::Cat::Engine, kCkptLane, "checkpoint", ckptStart_,
-              t, {{"half", half}});
-    if (obs::attributionOn()) {
-        ckptRec_.dataDoneTick = ckptDataDone_;
-        ckptRec_.metaDoneTick = ckptMetaDone_;
-        ckptRec_.endTick = t;
-        const StatRegistry &ds = ssd_.stats();
-        ckptRec_.cowCommands =
-            cowCommandCount(ds) - ckptRec_.cowCommands;
-        ckptRec_.remappedPairs =
-            ds.get("isce.remappedPairs") - ckptRec_.remappedPairs;
-        ckptRec_.remappedUnits =
-            ds.get("isce.remappedUnits") - ckptRec_.remappedUnits;
-        ckptRec_.copiedPairs =
-            ds.get("isce.copiedPairs") - ckptRec_.copiedPairs;
-        ckptRec_.copiedChunks =
-            ds.get("isce.copiedChunks") - ckptRec_.copiedChunks;
-        ckptRec_.bufferedSmallRecords =
-            ds.get("isce.bufferedSmallRecords") -
-            ckptRec_.bufferedSmallRecords;
-        obs::attrNoteCheckpoint(ckptRec_);
-    }
-    ++ckptSeq_;
-    policy_->onCheckpointEnd(t, t - ckptStart_);
-    gate_.release();
-    const bool threshold_hit =
-        policy_->onAppend(policySignals()).checkpoint;
-    if (pendingCkptRequest_ || threshold_hit) {
-        pendingCkptRequest_ = false;
-        requestCheckpoint(obs::CkptTrigger::Backlog);
-    }
 }
 
 void
@@ -781,33 +419,21 @@ KvEngine::verifyKeyContent(std::uint64_t key,
     } else {
         lba = layout_.targetLba(key);
     }
-    const auto nsect = std::uint32_t(
-        divCeil(shift + st.storedChunks, kChunksPerSector));
-    if (verifyBuf_.size() < nsect)
-        verifyBuf_.resize(nsect);
-    const std::vector<SectorData> &buf = verifyBuf_;
-    ssd_.peek(lba, nsect, verifyBuf_.data());
-    for (std::uint32_t c = 0; c < st.storedChunks; ++c) {
-        const std::uint32_t pos = shift + c;
-        const std::uint64_t got =
-            buf[pos / kChunksPerSector]
-                .chunks[pos % kChunksPerSector];
-        const std::uint64_t want =
-            dataChunkToken(key, st.version, c);
-        if (got != want) {
-            const DecodedToken d = decodeToken(got);
-            std::ostringstream os;
-            os << "content mismatch: key " << key << " version "
-               << st.version << " chunk " << c << " at lba " << lba
-               << (st.inJournal ? " (journal" : " (data")
-               << " half=" << int(st.half)
-               << " chunkOff=" << st.journalChunk
-               << " storedChunks=" << st.storedChunks
-               << ") got tag=" << int(d.tag) << " key=" << d.key
-               << " ver=" << d.version << " aux=" << d.aux;
-            throw std::runtime_error(os.str());
-        }
-    }
+    std::uint64_t got = 0;
+    const std::uint32_t c = firstBadChunk(key, st.version, lba, shift,
+                                          st.storedChunks, got);
+    if (c == st.storedChunks)
+        return;
+    const DecodedToken d = decodeToken(got);
+    std::ostringstream os;
+    os << "content mismatch: key " << key << " version " << st.version
+       << " chunk " << c << " at lba " << lba
+       << (st.inJournal ? " (journal" : " (data")
+       << " half=" << int(st.half) << " chunkOff=" << st.journalChunk
+       << " storedChunks=" << st.storedChunks << ") got tag="
+       << int(d.tag) << " key=" << d.key << " ver=" << d.version
+       << " aux=" << d.aux;
+    throw std::runtime_error(os.str());
 }
 
 std::uint64_t
@@ -822,52 +448,6 @@ KvEngine::verifyAllKeys() const
         ++verified;
     }
     return verified;
-}
-
-std::vector<KvEngine::ParsedLog>
-KvEngine::parseJournalHalf(std::uint8_t half) const
-{
-    const std::uint64_t nchunks = layout_.journalChunks();
-    std::vector<std::uint64_t> toks(nchunks, 0);
-    const std::uint64_t nsect = layout_.journalSectors;
-    std::vector<SectorData> buf(nsect);
-    ssd_.peek(layout_.journalStart[half], std::uint32_t(nsect),
-              buf.data());
-    for (std::uint64_t s = 0; s < nsect; ++s) {
-        for (std::uint32_t c = 0; c < kChunksPerSector; ++c)
-            toks[s * kChunksPerSector + c] = buf[s].chunks[c];
-    }
-    std::vector<ParsedLog> logs;
-    std::uint64_t pos = 0;
-    while (pos < nchunks) {
-        const DecodedToken d = decodeToken(toks[pos]);
-        if (d.tag == TokenTag::Tombstone) {
-            // chunks == 0 marks a deletion record.
-            logs.push_back(ParsedLog{d.key,
-                                     std::uint32_t(d.version), half,
-                                     pos, 0});
-            ++pos;
-            continue;
-        }
-        if (d.tag != TokenTag::Data || d.aux != 0) {
-            ++pos;
-            continue;
-        }
-        std::uint64_t n = 1;
-        while (pos + n < nchunks) {
-            const DecodedToken dn = decodeToken(toks[pos + n]);
-            if (dn.tag == TokenTag::Data && dn.key == d.key &&
-                dn.version == d.version && dn.aux == n) {
-                ++n;
-            } else {
-                break;
-            }
-        }
-        logs.push_back(ParsedLog{d.key, std::uint32_t(d.version),
-                                 half, pos, std::uint32_t(n)});
-        pos += n;
-    }
-    return logs;
 }
 
 RecoveryInfo
@@ -901,6 +481,11 @@ KvEngine::recover()
     }
 
     // 2. Scan both journal halves (pre-read + parse, paper §III-G).
+    struct ParsedLog
+    {
+        ParsedRecord rec;
+        std::uint8_t half;
+    };
     std::vector<ParsedLog> latest_logs;
     {
         std::unordered_map<std::uint64_t, ParsedLog> latest;
@@ -908,13 +493,15 @@ KvEngine::recover()
             ssd_.submitSync(Command::read(layout_.journalStart[half],
                                           layout_.journalSectors,
                                           IoCause::Journal));
-            for (const ParsedLog &log : parseJournalHalf(half)) {
-                if (log.version <= keymap_[log.key].catalogVersion)
+            for (const ParsedRecord &r :
+                 parseRecords(ssd_, layout_.journalStart[half],
+                              layout_.journalSectors, 1)) {
+                if (r.version <= keymap_[r.key].catalogVersion)
                     continue;
-                auto it = latest.find(log.key);
+                auto it = latest.find(r.key);
                 if (it == latest.end() ||
-                    it->second.version < log.version) {
-                    latest[log.key] = log;
+                    it->second.rec.version < r.version) {
+                    latest[r.key] = ParsedLog{r, half};
                 }
             }
         }
@@ -930,19 +517,19 @@ KvEngine::recover()
     entries.reserve(latest_logs.size());
     const std::uint32_t uc =
         ssd_.ftl().mappingUnitBytes() / kChunkBytes;
-    for (const ParsedLog &log : latest_logs) {
+    for (const auto &[log, half] : latest_logs) {
         const bool tombstone = log.chunks == 0;
         KeyState &st = keymap_[log.key];
         st.version = log.version;
         st.assignedVersion = log.version;
         st.storedChunks = tombstone ? 0 : log.chunks;
         st.inJournal = true;
-        st.half = log.half;
+        st.half = half;
         st.journalChunk = log.chunkOff;
         JmtEntry e;
         e.key = log.key;
         e.version = log.version;
-        e.half = log.half;
+        e.half = half;
         e.chunkOff = log.chunkOff;
         e.chunks = tombstone ? 1 : log.chunks;
         e.payloadBytes = tombstone ? 0 : log.chunks * kChunkBytes;

@@ -11,22 +11,17 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <unordered_map>
 #include <vector>
 
 #include "engine/checkpoint.h"
-#include "engine/checkpoint_policy.h"
 #include "engine/engine_config.h"
 #include "engine/host_cache.h"
 #include "engine/journal.h"
+#include "engine/journaled_engine.h"
 #include "engine/keymap.h"
 #include "engine/layout.h"
-#include "engine/query_gate.h"
-#include "engine/storage_engine.h"
-#include "obs/attribution.h"
-#include "obs/flight_recorder.h"
-#include "sim/event_queue.h"
 #include "sim/sim_context.h"
-#include "sim/stats.h"
 #include "ssd/ssd.h"
 
 namespace checkin {
@@ -39,7 +34,7 @@ namespace checkin {
  * (rebuild from an existing device after a crash), then start() to
  * arm the checkpoint timer, then issue queries.
  */
-class KvEngine : public StorageEngine
+class KvEngine : public JournaledEngine
 {
   public:
     KvEngine(SimContext &ctx, Ssd &ssd, const EngineConfig &cfg);
@@ -58,74 +53,13 @@ class KvEngine : public StorageEngine
      */
     RecoveryInfo recover() override;
 
-    /** Arm the periodic checkpoint timer (if configured). */
-    void start() override;
-
-    // ------------------------------------------------------------------
-    // Query interface
-    // ------------------------------------------------------------------
-    void get(std::uint64_t key, QueryCb cb) override;
-    void update(std::uint64_t key, std::uint32_t value_bytes,
-                QueryCb cb) override;
-    void readModifyWrite(std::uint64_t key, std::uint32_t value_bytes,
-                         QueryCb cb) override;
-    /** Delete a key: journals a tombstone; the next checkpoint trims
-     *  the data-area slot and records the deletion in the catalog. */
-    void erase(std::uint64_t key, QueryCb cb) override;
-
-    /**
-     * Atomic multi-key transaction (paper Fig 7: the engine groups
-     * journal logs into a transaction): every operation journals in
-     * one group commit, so a crash persists all of them or none.
-     * @p cb fires once, after the whole transaction is durable.
-     */
-    void updateBatch(std::vector<BatchOp> ops, QueryCb cb) override;
-    /** Range scan over up to @p count consecutive keys. Data-area
-     *  resident keys are fetched as one sequential read; journal-
-     *  resident keys are fetched individually. */
-    void scan(std::uint64_t start_key, std::uint32_t count,
-              QueryCb cb) override;
-
-    // ------------------------------------------------------------------
-    // Checkpoint control
-    // ------------------------------------------------------------------
-    /** Start a checkpoint now if possible, else mark one pending.
-     *  @p reason is recorded in the checkpoint phase timeline. */
-    void requestCheckpoint(obs::CkptTrigger reason =
-                               obs::CkptTrigger::Manual) override;
-    bool
-    checkpointInProgress() const override
-    {
-        return ckptInProgress_;
-    }
-    /** Completed checkpoint durations, in ticks. */
-    const std::vector<Tick> &
-    checkpointDurations() const override
-    {
-        return ckptDurations_;
-    }
-
-    double
-    journalFillRate() const override
-    {
-        return policy_->fillRateBytesPerSec();
-    }
-
-    /** The trigger policy driving this engine's checkpoints. */
-    const CheckpointPolicy &checkpointPolicy() const
-    {
-        return *policy_;
-    }
-
     // ------------------------------------------------------------------
     // Introspection
     // ------------------------------------------------------------------
     const DiskLayout &layout() const { return layout_; }
     const Keymap &keymap() const { return keymap_; }
-    JournalManager &journal() { return journal_; }
-    StatRegistry &stats() override { return stats_; }
-    const StatRegistry &stats() const override { return stats_; }
-    const EngineConfig &config() const override { return cfg_; }
+    /** Entries currently in the JMT (latest versions). */
+    std::size_t jmtSize() const { return jmt_.size(); }
 
     std::uint32_t
     committedVersion(std::uint64_t key) const override
@@ -142,37 +76,29 @@ class KvEngine : public StorageEngine
     std::uint64_t verifyAllKeys() const override;
 
   private:
-    struct ParsedLog
-    {
-        std::uint64_t key;
-        std::uint32_t version;
-        std::uint8_t half;
-        std::uint64_t chunkOff;
-        std::uint32_t chunks;
-    };
+    KvEngine(SimContext &ctx, Ssd &ssd, const EngineConfig &cfg,
+             const DiskLayout &layout);
 
-    void doGet(std::uint64_t key, QueryCb cb);
-    void doUpdate(std::uint64_t key, std::uint32_t value_bytes,
-                  QueryCb cb);
-    void doErase(std::uint64_t key, QueryCb cb);
+    void doGet(std::uint64_t key, QueryCb cb) override;
+    /** Data-area resident keys are fetched as one sequential read;
+     *  journal-resident keys are fetched individually. */
     void doScan(std::uint64_t start_key, std::uint32_t count,
-                QueryCb cb);
+                QueryCb cb) override;
+    std::uint32_t
+    assignVersion(std::uint64_t key) override
+    {
+        return ++keymap_[key].assignedVersion;
+    }
+    bool annotateRecord(const JmtEntry &e, OobEntry *unit) override;
+    void onRecordCommitted(const JmtEntry &e) override;
+    void applyCommit(const JmtEntry &e, bool in_batch) override;
+    std::size_t journalIndexSize() const override { return jmt_.size(); }
+    bool hasCheckpointWork() const override { return !jmt_.empty(); }
+    void startCheckpoint() override;
+
     /** Trim the data-area slots of deleted keys (fan-out). */
     void trimTombstones(const std::vector<JmtEntry> &tombs,
                         std::function<void(Tick)> cb);
-    /** True while the checkpoint lock holds queries back. */
-    bool
-    queriesLocked() const
-    {
-        return cfg_.lockQueriesDuringCheckpoint && ckptInProgress_;
-    }
-
-    void onCheckpointTimer();
-    /** Current trigger-policy inputs. */
-    PolicySignals policySignals() const;
-    /** Feed the policy an append commit; maybe trigger. */
-    void noteJournalAppend();
-    void startCheckpoint();
     void onStrategyDone(const std::vector<JmtEntry> &entries,
                         std::uint8_t half, Tick t);
     /**
@@ -182,49 +108,18 @@ class KvEngine : public StorageEngine
     void writeCatalog(const std::vector<JmtEntry> &entries,
                       std::function<void(Tick)> cb);
     void deleteLogs(std::uint8_t half, std::function<void(Tick)> cb);
-    void finishCheckpoint(std::uint8_t half, Tick t);
 
     /** Verify a committed key's bytes at its current location. */
     void verifyKeyContent(std::uint64_t key, const KeyState &st) const;
 
-    /** Parse all journal records out of @p half (recovery). */
-    std::vector<ParsedLog> parseJournalHalf(std::uint8_t half) const;
-
-    EventQueue &eq_;
-    Ssd &ssd_;
-    EngineConfig cfg_;
     DiskLayout layout_;
     Keymap keymap_;
     HostCache hostCache_;
-    StatRegistry stats_;
-    // Per-query counters, interned on first use so a run's key set
-    // stays what string-keyed adds would produce.
-    LazyStat statGets_{stats_, "engine.gets"};
-    LazyStat statGetMisses_{stats_, "engine.getMisses"};
     LazyStat statHostCacheHits_{stats_, "engine.hostCacheHits"};
-    LazyStat statGetsFromJournal_{stats_, "engine.getsFromJournal"};
-    LazyStat statUpdates_{stats_, "engine.updates"};
-    LazyStat statUpdateBytes_{stats_, "engine.updateBytes"};
-    JournalManager journal_;
     std::unique_ptr<CheckpointStrategy> strategy_;
-    std::unique_ptr<CheckpointPolicy> policy_;
-    /** Telemetry sampler of the run (nullptr: telemetry off). */
-    obs::TelemetrySampler *telem_ = nullptr;
-
-    bool ckptInProgress_ = false;
-    bool pendingCkptRequest_ = false;
-    Tick ckptStart_ = 0;
-    Tick ckptDataDone_ = 0; //!< data movement (strategy+trims) end
-    Tick ckptMetaDone_ = 0; //!< catalog persistence end
-    std::vector<Tick> ckptDurations_;
-    /** In-flight checkpoint's phase-timeline record (attribution);
-     *  device counters hold their start-of-checkpoint baselines
-     *  until finishCheckpoint() turns them into deltas. */
-    obs::CheckpointStat ckptRec_;
-    std::uint64_t ckptSeq_ = 0;
-    QueryGate gate_;
-    /** verifyKeyContent() read buffer, reused across queries. */
-    mutable std::vector<SectorData> verifyBuf_;
+    /** Journal mapping table: the latest committed log of each key
+     *  in the active half (the checkpoint index). */
+    std::unordered_map<std::uint64_t, JmtEntry> jmt_;
 };
 
 } // namespace checkin

@@ -7,87 +7,32 @@
 #include <stdexcept>
 
 #include "engine/record.h"
-#include "obs/attribution.h"
-#include "obs/telemetry.h"
 #include "obs/trace.h"
 
 namespace checkin {
 
-namespace {
-
-/** Trace lane for flush/compaction events (Cat::Engine). */
-constexpr std::uint32_t kFlushLane = 1;
-
-/** Sum of the device counters behind CheckpointStat::cowCommands. */
-std::uint64_t
-cowCommandCount(const StatRegistry &ds)
-{
-    return ds.get("ssd.cmd.cowSingle") + ds.get("ssd.cmd.cowMulti") +
-           ds.get("ssd.cmd.checkpointRemap");
-}
-
-/** Shared completion counter for a fan-out of commands. */
-struct FanOut
-{
-    std::size_t outstanding = 0;
-    Tick last = 0;
-    std::function<void(Tick)> done;
-
-    void
-    complete(const CmdResult &r)
-    {
-        last = std::max(last, r.require());
-        assert(outstanding > 0);
-        if (--outstanding == 0)
-            done(last);
-    }
-};
-
-} // namespace
-
 LsmEngine::LsmEngine(SimContext &ctx, Ssd &ssd,
                      const EngineConfig &cfg)
-    : eq_(ctx.events()),
-      ssd_(ssd),
-      cfg_(cfg),
-      layout_(LsmLayout::compute(cfg, ssd.capacitySectors(),
-                                 ssd.ftl().sectorsPerUnit())),
-      keymap_(cfg.recordCount),
-      policy_(CheckpointPolicy::create(cfg_)),
-      gate_(eq_, cfg_.hostCpuPerQuery)
+    : LsmEngine(ctx, ssd, cfg,
+                LsmLayout::compute(cfg, ssd.capacitySectors(),
+                                   ssd.ftl().sectorsPerUnit()))
 {
-    obs::nameLane(obs::Cat::Engine, kFlushLane, "flush");
-    telem_ = ctx.telemetry();
-    if (telem_ != nullptr && telem_->enabled()) {
-        telem_->addGauge("engine.deferredOps", [this] {
-            return std::uint64_t(gate_.held());
-        });
-        telem_->addGauge("engine.keymapSize", [this] {
-            return std::uint64_t(keymap_.size());
-        });
-        telem_->addGauge("engine.ckptInProgress", [this] {
-            return std::uint64_t(flushInProgress_ ? 1 : 0);
-        });
-        telem_->addGauge("journal.bytes", [this] {
-            return halfPayloadBytes_[activeHalf_];
-        });
-        telem_->addGauge("journal.jmtSize", [this] {
-            return std::uint64_t(
-                halfRecords_[activeHalf_].size());
-        });
-        telem_->addGauge("journal.stalled", [this] {
-            return std::uint64_t(walStalled_ ? 1 : 0);
-        });
-        telem_->addGauge("journal.fillRate", [this] {
-            return std::uint64_t(policy_->fillRateBytesPerSec());
-        });
-        telem_->addCounter("engine.checkpoints", [this] {
-            return stats_.get("engine.checkpoints");
-        });
-        telem_->addCounter("journal.stalls", [this] {
-            return stats_.get("engine.journalStalls");
-        });
-    }
+}
+
+LsmEngine::LsmEngine(SimContext &ctx, Ssd &ssd,
+                     const EngineConfig &cfg, const LsmLayout &layout)
+    : JournaledEngine(ctx, ssd, cfg,
+                      JournalArea{{layout.walStart[0],
+                                   layout.walStart[1]},
+                                  layout.walSectors},
+                      RecordLayout::UnitAligned),
+      layout_(layout),
+      keymap_(cfg.recordCount)
+{
+    obs::nameLane(obs::Cat::Engine, kCkptLane, "flush");
+    // Every record takes at least one unit of its half.
+    for (std::vector<JmtEntry> &recs : halfRecords_)
+        recs.reserve(layout_.walUnits());
 }
 
 std::uint32_t
@@ -165,67 +110,7 @@ LsmEngine::load(
     l1UsedUnits_[0] = cursor;
     ssd_.submitSync(buildManifestCommand());
     halfRegion_[0] = reserveRegion();
-    halfRegionValid_[0] = true;
     stats_.add("engine.loadedKeys", cfg_.recordCount);
-}
-
-void
-LsmEngine::start()
-{
-    if (policy_->timerPeriod() > 0)
-        eq_.scheduleAfter(policy_->timerPeriod(),
-                          [this] { onFlushTimer(); });
-}
-
-void
-LsmEngine::onFlushTimer()
-{
-    const PolicyDecision d = policy_->onTimer(policySignals());
-    if (d.checkpoint)
-        requestCheckpoint(d.trigger);
-    if (policy_->timerPeriod() > 0)
-        eq_.scheduleAfter(policy_->timerPeriod(),
-                          [this] { onFlushTimer(); });
-}
-
-PolicySignals
-LsmEngine::policySignals() const
-{
-    PolicySignals sig;
-    sig.now = eq_.now();
-    sig.journalBytes = halfPayloadBytes_[activeHalf_];
-    sig.journalCapacityBytes = cfg_.journalHalfBytes;
-    sig.checkpointInProgress = flushInProgress_;
-    sig.checkpointStallTicks =
-        obs::attrLiveStageTicks(obs::Stage::CheckpointStall);
-    return sig;
-}
-
-void
-LsmEngine::noteWalAppend()
-{
-    policy_->noteAppend(eq_.now(), halfPayloadBytes_[activeHalf_]);
-    if (flushInProgress_)
-        return;
-    const PolicyDecision d = policy_->onAppend(policySignals());
-    if (d.checkpoint)
-        requestCheckpoint(d.trigger);
-}
-
-// ----------------------------------------------------------------------
-// Queries
-// ----------------------------------------------------------------------
-
-void
-LsmEngine::get(std::uint64_t key, QueryCb cb)
-{
-    const obs::OpToken op = obs::attrCurrentOp();
-    auto task = [this, key, op, cb = std::move(cb)]() mutable {
-        obs::attrMark(op, obs::Stage::CheckpointStall, eq_.now());
-        obs::AttrOpScope attr_scope(op);
-        doGet(key, std::move(cb));
-    };
-    gate_.admit(queriesLocked(), op, std::move(task));
 }
 
 void
@@ -234,7 +119,7 @@ LsmEngine::doGet(std::uint64_t key, QueryCb cb)
     assert(key < cfg_.recordCount);
     statGets_.add();
     const KeyState st = keymap_[key];
-    const bool ckpt_at_submit = flushInProgress_;
+    const bool ckpt_at_submit = ckptInProgress_;
     if (st.version == 0 || st.chunks == 0) {
         statGetMisses_.add();
         eq_.scheduleAfter(0, [this, cb = std::move(cb),
@@ -253,159 +138,8 @@ LsmEngine::doGet(std::uint64_t key, QueryCb cb)
                  ckpt_at_submit](const CmdResult &r) {
                     cb(QueryResult{
                         r.require(),
-                        ckpt_at_submit || flushInProgress_, true});
+                        ckpt_at_submit || ckptInProgress_, true});
                 });
-}
-
-void
-LsmEngine::update(std::uint64_t key, std::uint32_t value_bytes,
-                  QueryCb cb)
-{
-    const obs::OpToken op = obs::attrCurrentOp();
-    auto task = [this, key, value_bytes, op,
-                 cb = std::move(cb)]() mutable {
-        obs::attrMark(op, obs::Stage::CheckpointStall, eq_.now());
-        obs::AttrOpScope attr_scope(op);
-        assert(key < cfg_.recordCount);
-        assert(value_bytes > 0 && value_bytes <= cfg_.maxValueBytes);
-        const std::uint32_t version = ++keymap_[key].assignedVersion;
-        const bool ckpt_at_submit = flushInProgress_;
-        PendingRec rec;
-        rec.key = key;
-        rec.version = version;
-        rec.valueBytes = value_bytes;
-        rec.chunks =
-            std::uint32_t(divCeil(value_bytes, kChunkBytes));
-        rec.units = recordUnits(rec.chunks);
-        rec.cb = [this, value_bytes, ckpt_at_submit,
-                  cb = std::move(cb)](const WalRec &w, Tick done) {
-            applyWalAck(w);
-            statUpdates_.add();
-            statUpdateBytes_.add(value_bytes);
-            noteWalAppend();
-            cb(QueryResult{done,
-                           ckpt_at_submit || flushInProgress_,
-                           true});
-        };
-        std::vector<PendingRec> group;
-        group.push_back(std::move(rec));
-        enqueueGroup(std::move(group));
-    };
-    gate_.admit(queriesLocked(), op, std::move(task));
-}
-
-void
-LsmEngine::readModifyWrite(std::uint64_t key,
-                           std::uint32_t value_bytes, QueryCb cb)
-{
-    const obs::OpToken op = obs::attrCurrentOp();
-    get(key, [this, key, value_bytes, op,
-              cb = std::move(cb)](const QueryResult &r1) mutable {
-        const bool first_during = r1.duringCheckpoint;
-        obs::AttrOpScope attr_scope(op);
-        update(key, value_bytes,
-               [cb = std::move(cb),
-                first_during](const QueryResult &r2) {
-                   QueryResult res = r2;
-                   res.duringCheckpoint |= first_during;
-                   cb(res);
-               });
-    });
-}
-
-void
-LsmEngine::erase(std::uint64_t key, QueryCb cb)
-{
-    const obs::OpToken op = obs::attrCurrentOp();
-    auto task = [this, key, op, cb = std::move(cb)]() mutable {
-        obs::attrMark(op, obs::Stage::CheckpointStall, eq_.now());
-        obs::AttrOpScope attr_scope(op);
-        assert(key < cfg_.recordCount);
-        const std::uint32_t version = ++keymap_[key].assignedVersion;
-        const bool ckpt_at_submit = flushInProgress_;
-        PendingRec rec;
-        rec.key = key;
-        rec.version = version;
-        rec.valueBytes = 0;
-        rec.chunks = 0;
-        rec.units = 1;
-        rec.cb = [this, ckpt_at_submit,
-                  cb = std::move(cb)](const WalRec &w, Tick done) {
-            applyWalAck(w);
-            stats_.add("engine.deletes");
-            noteWalAppend();
-            cb(QueryResult{done,
-                           ckpt_at_submit || flushInProgress_,
-                           true});
-        };
-        std::vector<PendingRec> group;
-        group.push_back(std::move(rec));
-        enqueueGroup(std::move(group));
-    };
-    gate_.admit(queriesLocked(), op, std::move(task));
-}
-
-void
-LsmEngine::updateBatch(std::vector<BatchOp> ops, QueryCb cb)
-{
-    const obs::OpToken op = obs::attrCurrentOp();
-    auto task = [this, ops = std::move(ops), op,
-                 cb = std::move(cb)]() mutable {
-        assert(!ops.empty());
-        obs::attrMark(op, obs::Stage::CheckpointStall, eq_.now());
-        obs::AttrOpScope attr_scope(op);
-        const bool ckpt_at_submit = flushInProgress_;
-        struct TxnState
-        {
-            std::size_t outstanding;
-            Tick last = 0;
-            QueryCb cb;
-        };
-        auto txn = std::make_shared<TxnState>();
-        txn->outstanding = ops.size();
-        txn->cb = std::move(cb);
-        std::vector<PendingRec> group;
-        group.reserve(ops.size());
-        for (const BatchOp &o : ops) {
-            assert(o.key < cfg_.recordCount);
-            PendingRec rec;
-            rec.key = o.key;
-            rec.version = ++keymap_[o.key].assignedVersion;
-            rec.valueBytes = o.valueBytes;
-            rec.chunks =
-                std::uint32_t(divCeil(o.valueBytes, kChunkBytes));
-            rec.units = recordUnits(rec.chunks);
-            rec.cb = [this, txn, ckpt_at_submit](const WalRec &w,
-                                                 Tick done) {
-                applyWalAck(w);
-                txn->last = std::max(txn->last, done);
-                if (--txn->outstanding == 0) {
-                    stats_.add("engine.batchCommits");
-                    noteWalAppend();
-                    txn->cb(QueryResult{
-                        txn->last,
-                        ckpt_at_submit || flushInProgress_, true});
-                }
-            };
-            group.push_back(std::move(rec));
-        }
-        enqueueGroup(std::move(group));
-    };
-    gate_.admit(queriesLocked(), op, std::move(task));
-}
-
-void
-LsmEngine::scan(std::uint64_t start_key, std::uint32_t count,
-                QueryCb cb)
-{
-    const obs::OpToken op = obs::attrCurrentOp();
-    auto task = [this, start_key, count, op,
-                 cb = std::move(cb)]() mutable {
-        obs::attrMark(op, obs::Stage::CheckpointStall, eq_.now());
-        obs::AttrOpScope attr_scope(op);
-        doScan(start_key, count, std::move(cb));
-    };
-    gate_.admit(queriesLocked(), op, std::move(task));
 }
 
 void
@@ -416,26 +150,7 @@ LsmEngine::doScan(std::uint64_t start_key, std::uint32_t count,
     stats_.add("engine.scans");
     const std::uint64_t end = std::min<std::uint64_t>(
         cfg_.recordCount, start_key + count);
-    const bool ckpt_at_submit = flushInProgress_;
-
-    struct Job
-    {
-        std::size_t outstanding = 0;
-        Tick last = 0;
-        std::uint32_t scanned = 0;
-        bool launched = false;
-        QueryCb cb;
-    };
-    auto job = std::make_shared<Job>();
-    job->cb = std::move(cb);
-    auto complete = [this, job, ckpt_at_submit](const CmdResult &r) {
-        job->last = std::max(job->last, r.require());
-        if (--job->outstanding == 0 && job->launched) {
-            job->cb(QueryResult{job->last,
-                                ckpt_at_submit || flushInProgress_,
-                                job->scanned > 0, job->scanned});
-        }
-    };
+    const std::shared_ptr<ScanJob> job = newScanJob(std::move(cb));
 
     // L1 residents coalesce into one sequential read (L1 is packed
     // in key order); WAL/L0 residents are fetched individually.
@@ -452,183 +167,49 @@ LsmEngine::doScan(std::uint64_t start_key, std::uint32_t count,
             l1_first = std::min(l1_first, st.loc.unitOff);
             l1_end = std::max(l1_end, st.loc.unitOff + units);
         } else {
-            const auto nsect =
-                std::uint32_t(divCeil(st.chunks, kChunksPerSector));
-            ++job->outstanding;
-            ssd_.submit(Command::read(lbaOf(st.loc), nsect,
-                                      IoCause::Query),
-                        complete);
+            submitScanRead(job, lbaOf(st.loc),
+                           divCeil(st.chunks, kChunksPerSector));
         }
     }
     if (l1_first != kInvalidAddr) {
         const std::uint64_t nsect =
             (l1_end - l1_first) * layout_.unitSectors;
-        ++job->outstanding;
         stats_.add("engine.scanSequentialSectors", nsect);
-        ssd_.submit(Command::read(layout_.l1Lba(ping_, l1_first),
-                                  nsect, IoCause::Query),
-                    complete);
+        submitScanRead(job, layout_.l1Lba(ping_, l1_first), nsect);
     }
-    job->launched = true;
-    if (job->outstanding == 0) {
-        eq_.scheduleAfter(0, [this, job, ckpt_at_submit] {
-            job->cb(QueryResult{eq_.now(),
-                                ckpt_at_submit || flushInProgress_,
-                                false, 0});
-        });
-    }
+    launchScan(job);
 }
 
 // ----------------------------------------------------------------------
-// WAL append path
+// WAL (shared journal) hooks
 // ----------------------------------------------------------------------
 
-void
-LsmEngine::applyWalAck(const WalRec &rec)
+bool
+LsmEngine::annotateRecord(const JmtEntry &e, OobEntry *unit)
 {
-    KeyState &st = keymap_[rec.key];
-    if (rec.version > st.version) {
-        st.version = rec.version;
-        st.chunks = rec.chunks;
-        st.loc = Loc{Loc::Area::Wal, rec.half, rec.unitOff};
-    }
-}
-
-void
-LsmEngine::enqueueGroup(std::vector<PendingRec> group)
-{
-    std::uint64_t units = 0;
-    for (const PendingRec &r : group)
-        units += r.units;
-    if (units > layout_.walUnits()) {
-        throw std::invalid_argument(
-            "lsm: transaction larger than a journal half");
-    }
-    pendingGroups_.push_back(std::move(group));
-    pumpWal();
-}
-
-void
-LsmEngine::pumpWal()
-{
-    if (walInFlight_ || pendingGroups_.empty())
-        return;
-    assert(halfRegionValid_[activeHalf_]);
-    const std::uint8_t half = activeHalf_;
-    const std::uint64_t wal_units = layout_.walUnits();
-    auto group_units = [](const std::vector<PendingRec> &g) {
-        std::uint64_t u = 0;
-        for (const PendingRec &r : g)
-            u += r.units;
-        return u;
-    };
-    if (appendUnit_[half] + group_units(pendingGroups_.front()) >
-        wal_units) {
-        // Active half full: stall until a flush rotates the halves.
-        if (!walStalled_) {
-            walStalled_ = true;
-            statJournalStalls_.add();
-            if (telem_ != nullptr) {
-                telem_->noteEvent(
-                    obs::TelemetryEvent::JournalStall, eq_.now(),
-                    pendingGroups_.size());
-            }
-        }
-        requestCheckpoint(obs::CkptTrigger::SpacePressure);
-        return;
-    }
-    walStalled_ = false;
-
-    // Gather whole groups (a transaction never splits across write
-    // commands: one command is atomic+durable at submission).
-    std::vector<PendingRec> batch;
-    std::uint64_t batch_units = 0;
-    while (!pendingGroups_.empty()) {
-        const std::vector<PendingRec> &g = pendingGroups_.front();
-        if (!batch.empty() &&
-            batch.size() + g.size() > cfg_.maxCommitGroup) {
-            break;
-        }
-        if (appendUnit_[half] + batch_units + group_units(g) >
-            wal_units) {
-            break;
-        }
-        batch_units += group_units(g);
-        for (PendingRec &r : pendingGroups_.front())
-            batch.push_back(std::move(r));
-        pendingGroups_.pop_front();
-    }
-    assert(!batch.empty());
-
-    // Build the unit-aligned payload plus per-unit OOB annotations:
-    // every WAL unit names its L0 destination so a remap promotion
-    // stays durable across sudden power loss (paper §III-G).
-    const std::uint64_t base_unit = appendUnit_[half];
+    // Unit i of the half promotes to unit i of the half's L0 region,
+    // so a remap promotion stays durable across sudden power loss
+    // (paper §III-G).
     const std::uint32_t unit_chunks = layout_.unitChunks();
-    const std::uint32_t region = halfRegion_[half];
-    std::vector<SectorData> payload(batch_units *
-                                    layout_.unitSectors);
-    std::vector<OobEntry> oob(batch_units);
-    auto acks = std::make_shared<std::vector<
-        std::pair<WalRec, std::function<void(const WalRec &, Tick)>>>>();
-    acks->reserve(batch.size());
-    std::uint64_t rel = 0;
-    std::uint64_t payload_bytes = 0;
-    for (PendingRec &r : batch) {
-        const std::uint64_t base_chunk = rel * unit_chunks;
-        if (r.chunks == 0) {
-            payload[base_chunk / kChunksPerSector]
-                .chunks[base_chunk % kChunksPerSector] =
-                tombstoneToken(r.key, r.version);
-        } else {
-            for (std::uint32_t c = 0; c < r.chunks; ++c) {
-                const std::uint64_t pos = base_chunk + c;
-                payload[pos / kChunksPerSector]
-                    .chunks[pos % kChunksPerSector] =
-                    dataChunkToken(r.key, r.version, c);
-            }
-        }
-        for (std::uint32_t k = 0; k < r.units; ++k) {
-            oob[rel + k].version = globalSeq_++;
-            oob[rel + k].targetLpn =
-                layout_.l0UnitLpn(region, base_unit + rel + k);
-        }
-        WalRec w;
-        w.key = r.key;
-        w.version = r.version;
-        w.chunks = r.chunks;
-        w.half = half;
-        w.unitOff = base_unit + rel;
-        w.units = r.units;
-        halfRecords_[half].push_back(w);
-        acks->emplace_back(w, std::move(r.cb));
-        payload_bytes += r.valueBytes;
-        rel += r.units;
+    const std::uint64_t first = e.chunkOff / unit_chunks;
+    for (std::uint32_t k = 0; k < e.chunks / unit_chunks; ++k) {
+        unit[k].version = globalSeq_++;
+        unit[k].targetLpn =
+            layout_.l0UnitLpn(halfRegion_[e.half], first + k);
     }
-    appendUnit_[half] += batch_units;
-    halfPayloadBytes_[half] += payload_bytes;
-    halfClean_[half] = false;
-    statGroupCommits_.add();
-    statJournalPayloadBytes_.add(payload_bytes);
-    statJournalChunksStored_.add(batch_units * unit_chunks);
+    return true;
+}
 
-    Command w = Command::write(layout_.walLba(half, base_unit),
-                               std::move(payload), IoCause::Journal);
-    w.unitOob = std::move(oob);
-    walInFlight_ = true;
-    ssd_.submit(std::move(w), [this, acks](const CmdResult &r) {
-        const Tick done = r.require();
-        walInFlight_ = false;
-        for (auto &[rec, cb] : *acks)
-            cb(rec, done);
-        if (walQuiesceCb_) {
-            auto fn = std::move(walQuiesceCb_);
-            walQuiesceCb_ = nullptr;
-            fn();
-        } else {
-            pumpWal();
-        }
-    });
+void
+LsmEngine::applyCommit(const JmtEntry &e, bool /*in_batch*/)
+{
+    KeyState &st = keymap_[e.key];
+    if (e.version > st.version) {
+        st.version = e.version;
+        st.chunks = std::uint32_t(divCeil(e.payloadBytes, kChunkBytes));
+        st.loc = Loc{Loc::Area::Wal, e.half,
+                     e.chunkOff / layout_.unitChunks()};
+    }
 }
 
 // ----------------------------------------------------------------------
@@ -636,116 +217,50 @@ LsmEngine::pumpWal()
 // ----------------------------------------------------------------------
 
 void
-LsmEngine::requestCheckpoint(obs::CkptTrigger reason)
+LsmEngine::startCheckpoint()
 {
-    if (telem_ != nullptr && reason == obs::CkptTrigger::Safety) {
-        telem_->noteEvent(obs::TelemetryEvent::SafetyTrip,
-                          eq_.now(),
-                          halfPayloadBytes_[activeHalf_]);
-    }
-    if (flushInProgress_) {
-        pendingFlushRequest_ = true;
-        return;
-    }
-    if (halfRecords_[activeHalf_].empty() && !walInFlight_)
-        return;
-    if (!halfClean_[activeHalf_ ^ 1]) {
-        pendingFlushRequest_ = true;
-        return;
-    }
-    flushRec_.trigger = reason;
-    startFlush();
-}
-
-void
-LsmEngine::startFlush()
-{
-    flushInProgress_ = true;
-    flushStart_ = eq_.now();
-    policy_->onCheckpointStart(flushStart_);
-    if (telem_ != nullptr)
-        telem_->noteCheckpointStart(flushStart_);
-    stats_.add("engine.checkpoints");
-    obs::instant(obs::Cat::Engine, kFlushLane, "flush.start",
-                 flushStart_,
-                 {{"walRecords", halfRecords_[activeHalf_].size()}});
+    markCheckpointStart();
+    obs::instant(obs::Cat::Engine, kCkptLane, "flush.start",
+                 ckptStart_,
+                 {{"walRecords", journal_.logsInActiveHalf()}});
     // Wait for any in-flight group commit: its records belong to the
     // half being frozen and must be in the flush snapshot.
-    quiesceWal([this] { onWalQuiesced(); });
+    journal_.quiesce([this] { onJournalQuiesced(); });
 }
 
 void
-LsmEngine::quiesceWal(std::function<void()> fn)
+LsmEngine::onJournalQuiesced()
 {
-    if (!walInFlight_) {
-        fn();
-        return;
-    }
-    assert(!walQuiesceCb_);
-    walQuiesceCb_ = std::move(fn);
-}
-
-void
-LsmEngine::onWalQuiesced()
-{
-    const std::uint8_t half = activeHalf_;
+    const std::uint8_t half = journal_.activeHalf();
     const std::uint32_t region = halfRegion_[half];
+    const std::uint32_t unit_chunks = layout_.unitChunks();
     // The run occupies the frozen half's written prefix 1:1.
-    regionUsedUnits_[region] = appendUnit_[half];
+    regionUsedUnits_[region] =
+        journal_.activeJournalBytes() / kChunkBytes / unit_chunks;
 
-    // Rotate to the other (clean) half so appends continue during
-    // the flush; its activation gets a fresh L0 region assignment.
-    activeHalf_ = half ^ 1;
-    assert(halfClean_[activeHalf_]);
-    appendUnit_[activeHalf_] = 0;
-    halfPayloadBytes_[activeHalf_] = 0;
-    halfRecords_[activeHalf_].clear();
-    halfRegion_[activeHalf_] = reserveRegion();
-    halfRegionValid_[activeHalf_] = true;
+    // Appends continue in the other (clean) half during the flush;
+    // its activation gets a fresh L0 region assignment.
+    halfRegion_[half ^ 1] = reserveRegion();
+    const std::vector<JmtEntry> &recs = halfRecords_[half];
+    stats_.add("engine.ckptLogsSeen", recs.size());
+    stats_.add("engine.ckptLatestEntries", recs.size());
+    openCheckpointRecord(recs);
+    journal_.switchHalves();
 
-    auto recs = std::make_shared<std::vector<WalRec>>(
-        std::move(halfRecords_[half]));
-    halfRecords_[half].clear();
-    stats_.add("engine.ckptLogsSeen", recs->size());
-    stats_.add("engine.ckptLatestEntries", recs->size());
-    if (obs::attributionOn()) {
-        const obs::CkptTrigger reason = flushRec_.trigger;
-        flushRec_ = obs::CheckpointStat{};
-        flushRec_.trigger = reason;
-        flushRec_.seq = flushSeq_;
-        flushRec_.startTick = flushStart_;
-        flushRec_.entries = recs->size();
-        flushRec_.fullRecords = recs->size();
-        for (const WalRec &r : *recs) {
-            if (r.chunks == 0)
-                ++flushRec_.tombstones;
-        }
-        const StatRegistry &ds = ssd_.stats();
-        flushRec_.cowCommands = cowCommandCount(ds);
-        flushRec_.remappedPairs = ds.get("isce.remappedPairs");
-        flushRec_.remappedUnits = ds.get("isce.remappedUnits");
-        flushRec_.copiedPairs = ds.get("isce.copiedPairs");
-        flushRec_.copiedChunks = ds.get("isce.copiedChunks");
-        flushRec_.bufferedSmallRecords =
-            ds.get("isce.bufferedSmallRecords");
-    }
-    pumpWal();
-
-    if (recs->empty()) {
-        onFlushDataDone(half, region, *recs, eq_.now());
+    if (recs.empty()) {
+        onFlushDataDone(half, region);
         return;
     }
     // Promote the frozen half with identity-offset remap pairs: WAL
     // unit i becomes region unit i, exactly what the append-time OOB
     // annotations already promise the device.
-    const std::uint32_t unit_chunks = layout_.unitChunks();
     std::vector<Command> cmds;
     std::vector<CowPair> pairs;
-    for (const WalRec &r : *recs) {
+    for (const JmtEntry &r : recs) {
+        const std::uint64_t unit = r.chunkOff / unit_chunks;
         pairs.push_back(CowPair::make(
-            layout_.walLba(half, r.unitOff), 0,
-            layout_.l0Lba(region, r.unitOff), r.units * unit_chunks,
-            globalSeq_++, /*force_copy=*/false));
+            layout_.walLba(half, unit), 0, layout_.l0Lba(region, unit),
+            r.chunks, globalSeq_++, /*force_copy=*/false));
         if (pairs.size() == cfg_.maxPairsPerCommand) {
             cmds.push_back(
                 Command::checkpointRemap(std::move(pairs)));
@@ -756,8 +271,8 @@ LsmEngine::onWalQuiesced()
         cmds.push_back(Command::checkpointRemap(std::move(pairs)));
     auto job = std::make_shared<FanOut>();
     job->outstanding = cmds.size();
-    job->done = [this, half, region, recs](Tick t) {
-        onFlushDataDone(half, region, *recs, t);
+    job->done = [this, half, region](Tick) {
+        onFlushDataDone(half, region);
     };
     for (Command &c : cmds) {
         stats_.add("engine.ckptRemapCommands");
@@ -767,98 +282,57 @@ LsmEngine::onWalQuiesced()
 }
 
 void
-LsmEngine::onFlushDataDone(std::uint8_t half, std::uint32_t region,
-                           const std::vector<WalRec> &recs, Tick t)
+LsmEngine::onFlushDataDone(std::uint8_t half, std::uint32_t region)
 {
-    (void)t;
+    const std::vector<JmtEntry> &recs = halfRecords_[half];
+    const std::uint32_t unit_chunks = layout_.unitChunks();
     if (regionUsedUnits_[region] > 0)
         ++usedRuns_;
-    for (const WalRec &r : recs) {
+    for (const JmtEntry &r : recs) {
         KeyState &st = keymap_[r.key];
-        const Loc nl{Loc::Area::L0, std::uint8_t(region), r.unitOff};
+        const Loc nl{Loc::Area::L0, std::uint8_t(region),
+                     r.chunkOff / unit_chunks};
         if (st.version == r.version &&
             st.loc.area == Loc::Area::Wal) {
             st.loc = nl;
         }
         if (r.version > st.dataVersion) {
             st.dataVersion = r.version;
-            st.dataChunks = r.chunks;
+            st.dataChunks =
+                std::uint32_t(divCeil(r.payloadBytes, kChunkBytes));
             st.dataLoc = nl;
         }
     }
-    flushDataDone_ = std::max(eq_.now(), flushStart_);
-    stats_.add("engine.ckptDataTicks", flushDataDone_ - flushStart_);
-    obs::span(obs::Cat::Engine, kFlushLane, "flush.data",
-              flushStart_, flushDataDone_,
-              {{"records", recs.size()}});
+    ckptDataDone_ = std::max(eq_.now(), ckptStart_);
+    stats_.add("engine.ckptDataTicks", ckptDataDone_ - ckptStart_);
+    obs::span(obs::Cat::Engine, kCkptLane, "flush.data", ckptStart_,
+              ckptDataDone_, {{"records", recs.size()}});
     // Manifest before the WAL trim: every crash window leaves either
     // the logs durable or the manifest naming the promoted run.
     ssd_.submit(buildManifestCommand(),
                 [this, half](const CmdResult &r) {
         const Tick t2 = r.require();
-        flushMetaDone_ = std::max(t2, flushDataDone_);
+        ckptMetaDone_ = std::max(t2, ckptDataDone_);
         stats_.add("engine.ckptMetaTicks",
-                   flushMetaDone_ - flushDataDone_);
-        obs::span(obs::Cat::Engine, kFlushLane, "flush.meta",
-                  flushDataDone_, flushMetaDone_);
+                   ckptMetaDone_ - ckptDataDone_);
+        obs::span(obs::Cat::Engine, kCkptLane, "flush.meta",
+                  ckptDataDone_, ckptMetaDone_);
         ssd_.submit(Command::deleteLogs(layout_.walStart[half],
                                         layout_.walSectors),
                     [this, half](const CmdResult &r2) {
             const Tick t3 = r2.require();
             stats_.add("engine.ckptDeleteTicks",
-                       t3 > flushMetaDone_ ? t3 - flushMetaDone_
-                                           : 0);
-            obs::span(obs::Cat::Engine, kFlushLane, "flush.delete",
-                      flushMetaDone_, t3);
-            halfClean_[half] = true;
-            halfRegionValid_[half] = false;
+                       t3 > ckptMetaDone_ ? t3 - ckptMetaDone_ : 0);
+            obs::span(obs::Cat::Engine, kCkptLane, "flush.delete",
+                      ckptMetaDone_, t3);
+            halfRecords_[half].clear();
+            journal_.onHalfFreed(half);
             if (usedRuns_ >= kLsmCompactRuns)
                 startCompaction();
             else
-                finishFlush(t3);
+                finishCheckpoint(t3, "flush", {});
         });
     });
-}
-
-void
-LsmEngine::finishFlush(Tick t)
-{
-    flushInProgress_ = false;
-    flushDurations_.push_back(t - flushStart_);
-    if (telem_ != nullptr)
-        telem_->noteCheckpointEnd(t, t - flushStart_);
-    stats_.add("engine.ckptTicks", t - flushStart_);
-    obs::span(obs::Cat::Engine, kFlushLane, "flush", flushStart_, t);
-    if (obs::attributionOn()) {
-        flushRec_.dataDoneTick = flushDataDone_;
-        flushRec_.metaDoneTick = flushMetaDone_;
-        flushRec_.endTick = t;
-        const StatRegistry &ds = ssd_.stats();
-        flushRec_.cowCommands =
-            cowCommandCount(ds) - flushRec_.cowCommands;
-        flushRec_.remappedPairs =
-            ds.get("isce.remappedPairs") - flushRec_.remappedPairs;
-        flushRec_.remappedUnits =
-            ds.get("isce.remappedUnits") - flushRec_.remappedUnits;
-        flushRec_.copiedPairs =
-            ds.get("isce.copiedPairs") - flushRec_.copiedPairs;
-        flushRec_.copiedChunks =
-            ds.get("isce.copiedChunks") - flushRec_.copiedChunks;
-        flushRec_.bufferedSmallRecords =
-            ds.get("isce.bufferedSmallRecords") -
-            flushRec_.bufferedSmallRecords;
-        obs::attrNoteCheckpoint(flushRec_);
-    }
-    ++flushSeq_;
-    policy_->onCheckpointEnd(t, t - flushStart_);
-    gate_.release();
-    pumpWal();
-    const bool threshold_hit =
-        policy_->onAppend(policySignals()).checkpoint;
-    if (pendingFlushRequest_ || threshold_hit) {
-        pendingFlushRequest_ = false;
-        requestCheckpoint(obs::CkptTrigger::Backlog);
-    }
 }
 
 // ----------------------------------------------------------------------
@@ -964,7 +438,7 @@ LsmEngine::startCompaction()
     }
     auto moves = std::make_shared<std::vector<CompactMove>>(
         planCompaction());
-    obs::instant(obs::Cat::Engine, kFlushLane, "compact.start",
+    obs::instant(obs::Cat::Engine, kCkptLane, "compact.start",
                  eq_.now(), {{"records", moves->size()}});
 
     const std::uint32_t unit_chunks = layout_.unitChunks();
@@ -994,7 +468,9 @@ LsmEngine::startCompaction()
                      old_l1_units](const CmdResult &r) {
             r.require();
             compactionTrims(old_ping, *regions, old_l1_units,
-                            [this](Tick t3) { finishFlush(t3); });
+                            [this](Tick t3) {
+                                finishCheckpoint(t3, "flush", {});
+                            });
         });
     };
     if (cmds.empty()) {
@@ -1087,29 +563,20 @@ LsmEngine::verifyKeyContent(std::uint64_t key,
         }
         return;
     }
-    const auto nsect =
-        std::uint32_t(divCeil(st.chunks, kChunksPerSector));
-    std::vector<SectorData> buf(nsect);
-    ssd_.peek(lba, nsect, buf.data());
-    for (std::uint32_t c = 0; c < st.chunks; ++c) {
-        const std::uint64_t got =
-            buf[c / kChunksPerSector].chunks[c % kChunksPerSector];
-        const std::uint64_t want =
-            dataChunkToken(key, st.version, c);
-        if (got != want) {
-            const DecodedToken d = decodeToken(got);
-            std::ostringstream os;
-            os << "lsm content mismatch: key " << key << " version "
-               << st.version << " chunk " << c << " at lba " << lba
-               << " (area=" << int(st.loc.area)
-               << " idx=" << int(st.loc.idx)
-               << " unitOff=" << st.loc.unitOff
-               << " chunks=" << st.chunks << ") got tag="
-               << int(d.tag) << " key=" << d.key
-               << " ver=" << d.version << " aux=" << d.aux;
-            throw std::runtime_error(os.str());
-        }
-    }
+    std::uint64_t got = 0;
+    const std::uint32_t c =
+        firstBadChunk(key, st.version, lba, 0, st.chunks, got);
+    if (c == st.chunks)
+        return;
+    const DecodedToken d = decodeToken(got);
+    std::ostringstream os;
+    os << "lsm content mismatch: key " << key << " version "
+       << st.version << " chunk " << c << " at lba " << lba
+       << " (area=" << int(st.loc.area) << " idx=" << int(st.loc.idx)
+       << " unitOff=" << st.loc.unitOff << " chunks=" << st.chunks
+       << ") got tag=" << int(d.tag) << " key=" << d.key
+       << " ver=" << d.version << " aux=" << d.aux;
+    throw std::runtime_error(os.str());
 }
 
 std::uint64_t
@@ -1129,53 +596,6 @@ LsmEngine::verifyAllKeys() const
 // ----------------------------------------------------------------------
 // Recovery
 // ----------------------------------------------------------------------
-
-std::vector<LsmEngine::ParsedRec>
-LsmEngine::parseArea(Lba start_lba, std::uint64_t units) const
-{
-    const std::uint32_t unit_chunks = layout_.unitChunks();
-    const std::uint64_t nsect = units * layout_.unitSectors;
-    std::vector<SectorData> buf(nsect);
-    ssd_.peek(start_lba, std::uint32_t(nsect), buf.data());
-    std::vector<std::uint64_t> toks(units * unit_chunks, 0);
-    for (std::uint64_t s = 0; s < nsect; ++s) {
-        for (std::uint32_t c = 0; c < kChunksPerSector; ++c)
-            toks[s * kChunksPerSector + c] = buf[s].chunks[c];
-    }
-    std::vector<ParsedRec> recs;
-    std::uint64_t u = 0;
-    while (u < units) {
-        const std::uint64_t pos = u * unit_chunks;
-        const DecodedToken d = decodeToken(toks[pos]);
-        if (d.tag == TokenTag::Tombstone) {
-            recs.push_back(ParsedRec{d.key,
-                                     std::uint32_t(d.version), 0, u,
-                                     1});
-            ++u;
-            continue;
-        }
-        if (d.tag != TokenTag::Data || d.aux != 0) {
-            ++u;
-            continue;
-        }
-        std::uint64_t n = 1;
-        while (pos + n < toks.size()) {
-            const DecodedToken dn = decodeToken(toks[pos + n]);
-            if (dn.tag == TokenTag::Data && dn.key == d.key &&
-                dn.version == d.version && dn.aux == n) {
-                ++n;
-            } else {
-                break;
-            }
-        }
-        const auto rec_units =
-            std::uint32_t(divCeil(n, unit_chunks));
-        recs.push_back(ParsedRec{d.key, std::uint32_t(d.version),
-                                 std::uint32_t(n), u, rec_units});
-        u += rec_units;
-    }
-    return recs;
-}
 
 RecoveryInfo
 LsmEngine::recover()
@@ -1210,7 +630,12 @@ LsmEngine::recover()
 
     // 2. Scan the authoritative data areas: L1 ping, then used L0
     //    regions (token versions arbitrate, so order is immaterial).
-    auto apply_data = [this](const ParsedRec &r, const Loc &loc) {
+    const std::uint32_t unit_chunks = layout_.unitChunks();
+    auto parse_units = [this](Lba start, std::uint64_t units) {
+        return parseRecords(ssd_, start, units * layout_.unitSectors,
+                            layout_.unitChunks());
+    };
+    auto apply_data = [this](const ParsedRecord &r, const Loc &loc) {
         KeyState &st = keymap_[r.key];
         if (r.version > st.dataVersion) {
             st.dataVersion = r.version;
@@ -1222,10 +647,11 @@ LsmEngine::recover()
         sync(Command::read(layout_.l1Lba(ping_, 0),
                            l1UsedUnits_[ping_] * layout_.unitSectors,
                            IoCause::Query));
-        for (const ParsedRec &r :
-             parseArea(layout_.l1Lba(ping_, 0),
-                       l1UsedUnits_[ping_])) {
-            apply_data(r, Loc{Loc::Area::L1, ping_, r.unitOff});
+        for (const ParsedRecord &r :
+             parse_units(layout_.l1Lba(ping_, 0),
+                         l1UsedUnits_[ping_])) {
+            apply_data(r, Loc{Loc::Area::L1, ping_,
+                              r.chunkOff / unit_chunks});
         }
     }
     for (std::uint32_t reg = 0; reg < kLsmL0Regions; ++reg) {
@@ -1235,11 +661,11 @@ LsmEngine::recover()
                            regionUsedUnits_[reg] *
                                layout_.unitSectors,
                            IoCause::Query));
-        for (const ParsedRec &r :
-             parseArea(layout_.l0Lba(reg, 0),
-                       regionUsedUnits_[reg])) {
+        for (const ParsedRecord &r :
+             parse_units(layout_.l0Lba(reg, 0),
+                         regionUsedUnits_[reg])) {
             apply_data(r, Loc{Loc::Area::L0, std::uint8_t(reg),
-                              r.unitOff});
+                              r.chunkOff / unit_chunks});
         }
     }
     for (std::uint64_t key = 0; key < cfg_.recordCount; ++key) {
@@ -1270,8 +696,8 @@ LsmEngine::recover()
     for (std::uint8_t half = 0; half < 2; ++half) {
         sync(Command::read(layout_.walStart[half],
                            layout_.walSectors, IoCause::Journal));
-        for (const ParsedRec &r :
-             parseArea(layout_.walStart[half], layout_.walUnits())) {
+        for (const ParsedRecord &r :
+             parse_units(layout_.walStart[half], layout_.walUnits())) {
             if (r.key >= cfg_.recordCount)
                 continue;
             if (r.version <= keymap_[r.key].dataVersion)
@@ -1281,8 +707,8 @@ LsmEngine::recover()
                 b.version = r.version;
                 b.chunks = r.chunks;
                 b.half = half;
-                b.unitOff = r.unitOff;
-                b.units = r.units;
+                b.unitOff = r.chunkOff / unit_chunks;
+                b.units = recordUnits(r.chunks);
             }
         }
     }
@@ -1297,7 +723,6 @@ LsmEngine::recover()
     }
     if (replayed > 0) {
         const std::uint32_t region = reserveRegion();
-        const std::uint32_t unit_chunks = layout_.unitChunks();
         std::uint64_t cursor = 0;
         std::vector<CowPair> pairs;
         for (std::uint64_t key = 0; key < cfg_.recordCount; ++key) {
@@ -1359,7 +784,6 @@ LsmEngine::recover()
                 regions.push_back(r);
         }
         const std::vector<CompactMove> moves = planCompaction();
-        const std::uint32_t unit_chunks = layout_.unitChunks();
         std::vector<CowPair> pairs;
         for (const CompactMove &mv : moves) {
             pairs.push_back(CowPair::make(
@@ -1389,17 +813,8 @@ LsmEngine::recover()
         }
     }
 
-    // 7. Reset the WAL and arm the active half.
-    activeHalf_ = 0;
-    for (std::uint8_t half = 0; half < 2; ++half) {
-        appendUnit_[half] = 0;
-        halfPayloadBytes_[half] = 0;
-        halfRecords_[half].clear();
-        halfClean_[half] = true;
-        halfRegionValid_[half] = false;
-    }
+    // 7. Arm the (fresh) journal's active half.
     halfRegion_[0] = reserveRegion();
-    halfRegionValid_[0] = true;
 
     info.duration = tmax > t0 ? tmax - t0 : 0;
     stats_.add("engine.recoveries");

@@ -1,27 +1,21 @@
 /**
  * @file
- * LSM StorageEngine backend: memtable index + WAL over the journal
- * area, immutable runs in the data area, and leveled compaction whose
- * merges are offloaded to the ISCE.
+ * LSM StorageEngine backend: memtable index + the shared journal as
+ * its WAL, immutable runs in the data area, and leveled compaction
+ * whose merges are offloaded to the ISCE.
  */
 
 #ifndef CHECKIN_ENGINE_LSM_LSM_ENGINE_H_
 #define CHECKIN_ENGINE_LSM_LSM_ENGINE_H_
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <vector>
 
-#include "engine/checkpoint_policy.h"
 #include "engine/engine_config.h"
+#include "engine/journaled_engine.h"
 #include "engine/lsm/lsm_layout.h"
-#include "engine/query_gate.h"
-#include "engine/storage_engine.h"
-#include "obs/flight_recorder.h"
-#include "sim/event_queue.h"
 #include "sim/sim_context.h"
-#include "sim/stats.h"
 #include "ssd/ssd.h"
 
 namespace checkin {
@@ -29,11 +23,12 @@ namespace checkin {
 /**
  * The LSM StorageEngine backend (`lsm` behind EngineConfig::backend).
  *
- * Write path: updates append unit-aligned records to the active WAL
- * half (group commit, one write in flight); every WAL unit carries an
- * OOB annotation naming its L0 destination so remap promotions stay
- * durable across power loss. A "checkpoint" is a memtable flush: the
- * frozen half is promoted wholesale into its pre-assigned L0 region
+ * Write path: updates append through the shared JournalManager in
+ * its unit-aligned record layout (group commit, one write in
+ * flight); every WAL unit carries an OOB annotation naming its L0
+ * destination so remap promotions stay durable across power loss.
+ * A "checkpoint" is a memtable flush: the frozen half is promoted
+ * wholesale into its pre-assigned L0 region
  * with identity-offset CheckpointRemap pairs (zero data movement),
  * the manifest is persisted, and the half is released. Once
  * kLsmCompactRuns runs accumulate, a compaction folds L0 plus the
@@ -45,7 +40,7 @@ namespace checkin {
  * so version ordering survives trimmed-WAL resurrection after a
  * sudden power loss rebuild.
  */
-class LsmEngine : public StorageEngine
+class LsmEngine : public JournaledEngine
 {
   public:
     LsmEngine(SimContext &ctx, Ssd &ssd, const EngineConfig &cfg);
@@ -53,56 +48,11 @@ class LsmEngine : public StorageEngine
     void load(const std::function<std::uint32_t(std::uint64_t)>
                   &size_of) override;
     RecoveryInfo recover() override;
-    void start() override;
-
-    // ------------------------------------------------------------------
-    // Query interface
-    // ------------------------------------------------------------------
-    void get(std::uint64_t key, QueryCb cb) override;
-    void update(std::uint64_t key, std::uint32_t value_bytes,
-                QueryCb cb) override;
-    void readModifyWrite(std::uint64_t key, std::uint32_t value_bytes,
-                         QueryCb cb) override;
-    void erase(std::uint64_t key, QueryCb cb) override;
-    void updateBatch(std::vector<BatchOp> ops, QueryCb cb) override;
-    void scan(std::uint64_t start_key, std::uint32_t count,
-              QueryCb cb) override;
-
-    // ------------------------------------------------------------------
-    // Checkpoint (memtable flush) control
-    // ------------------------------------------------------------------
-    void requestCheckpoint(obs::CkptTrigger reason =
-                               obs::CkptTrigger::Manual) override;
-    bool
-    checkpointInProgress() const override
-    {
-        return flushInProgress_;
-    }
-    const std::vector<Tick> &
-    checkpointDurations() const override
-    {
-        return flushDurations_;
-    }
-
-    double
-    journalFillRate() const override
-    {
-        return policy_->fillRateBytesPerSec();
-    }
-
-    /** The trigger policy driving this engine's flushes. */
-    const CheckpointPolicy &checkpointPolicy() const
-    {
-        return *policy_;
-    }
 
     // ------------------------------------------------------------------
     // Introspection
     // ------------------------------------------------------------------
     const LsmLayout &layout() const { return layout_; }
-    StatRegistry &stats() override { return stats_; }
-    const StatRegistry &stats() const override { return stats_; }
-    const EngineConfig &config() const override { return cfg_; }
 
     std::uint32_t
     committedVersion(std::uint64_t key) const override
@@ -142,38 +92,6 @@ class LsmEngine : public StorageEngine
         Loc dataLoc;
     };
 
-    /** A record durably appended to a WAL half. */
-    struct WalRec
-    {
-        std::uint64_t key = 0;
-        std::uint32_t version = 0;
-        std::uint32_t chunks = 0; //!< data chunks; 0 = tombstone
-        std::uint8_t half = 0;
-        std::uint64_t unitOff = 0;
-        std::uint32_t units = 0;
-    };
-
-    /** An append waiting for its group commit. */
-    struct PendingRec
-    {
-        std::uint64_t key = 0;
-        std::uint32_t version = 0;
-        std::uint32_t valueBytes = 0;
-        std::uint32_t chunks = 0;
-        std::uint32_t units = 0;
-        std::function<void(const WalRec &, Tick)> cb;
-    };
-
-    /** A record parsed back out of the device (recovery). */
-    struct ParsedRec
-    {
-        std::uint64_t key = 0;
-        std::uint32_t version = 0;
-        std::uint32_t chunks = 0; //!< 0 = tombstone
-        std::uint64_t unitOff = 0;
-        std::uint32_t units = 0;
-    };
-
     /** One record movement of a compaction plan. */
     struct CompactMove
     {
@@ -195,37 +113,54 @@ class LsmEngine : public StorageEngine
         std::uint64_t l1UsedUnits[2] = {};
     };
 
+    LsmEngine(SimContext &ctx, Ssd &ssd, const EngineConfig &cfg,
+              const LsmLayout &layout);
+
     std::uint32_t recordUnits(std::uint32_t chunks) const;
     Lba lbaOf(const Loc &loc) const;
 
-    // Query internals (mirror the checkin backend's idioms).
-    void doGet(std::uint64_t key, QueryCb cb);
+    // Journaled-engine hooks.
+    void doGet(std::uint64_t key, QueryCb cb) override;
+    /** L1 residents coalesce into one sequential read; WAL and L0
+     *  residents are fetched individually. */
     void doScan(std::uint64_t start_key, std::uint32_t count,
-                QueryCb cb);
-    /** True while the flush lock holds queries back. */
-    bool
-    queriesLocked() const
+                QueryCb cb) override;
+    std::uint32_t
+    assignVersion(std::uint64_t key) override
     {
-        return cfg_.lockQueriesDuringCheckpoint && flushInProgress_;
+        return ++keymap_[key].assignedVersion;
     }
-    void onFlushTimer();
-    /** Current trigger-policy inputs. */
-    PolicySignals policySignals() const;
-    /** Feed the policy a WAL append commit; maybe trigger. */
-    void noteWalAppend();
-
-    // WAL append path.
-    void enqueueGroup(std::vector<PendingRec> group);
-    void pumpWal();
-    void applyWalAck(const WalRec &rec);
+    /** Every WAL unit names its L0 destination (identity offset into
+     *  the half's region) under a fresh global stamp. */
+    bool annotateRecord(const JmtEntry &e, OobEntry *unit) override;
+    void
+    onRecordCommitted(const JmtEntry &e) override
+    {
+        halfRecords_[e.half].push_back(e);
+    }
+    void applyCommit(const JmtEntry &e, bool in_batch) override;
+    std::size_t
+    journalIndexSize() const override
+    {
+        return journal_.logsInActiveHalf();
+    }
+    bool
+    hasCheckpointWork() const override
+    {
+        return journal_.logsInActiveHalf() > 0;
+    }
+    /** A memtable flush: promote the frozen WAL half into L0. */
+    void startCheckpoint() override;
+    /** The flush trigger counts value bytes, not padded units. */
+    std::uint64_t
+    policyLevelBytes() const override
+    {
+        return journal_.activePayloadBytes();
+    }
 
     // Flush (checkpoint) path.
-    void startFlush();
-    void quiesceWal(std::function<void()> fn);
-    void onWalQuiesced();
-    void onFlushDataDone(std::uint8_t half, std::uint32_t region,
-                         const std::vector<WalRec> &recs, Tick t);
-    void finishFlush(Tick t);
+    void onJournalQuiesced();
+    void onFlushDataDone(std::uint8_t half, std::uint32_t region);
     std::uint32_t reserveRegion();
 
     // Compaction.
@@ -241,31 +176,11 @@ class LsmEngine : public StorageEngine
     // Manifest + recovery.
     Command buildManifestCommand();
     Manifest readManifest() const;
-    std::vector<ParsedRec> parseArea(Lba start_lba,
-                                     std::uint64_t units) const;
     void verifyKeyContent(std::uint64_t key,
                           const KeyState &st) const;
 
-    EventQueue &eq_;
-    Ssd &ssd_;
-    EngineConfig cfg_;
     LsmLayout layout_;
     std::vector<KeyState> keymap_;
-    StatRegistry stats_;
-    // Per-query and group-commit counters, interned on first use so
-    // a run's key set stays what string-keyed adds would produce.
-    LazyStat statGets_{stats_, "engine.gets"};
-    LazyStat statGetMisses_{stats_, "engine.getMisses"};
-    LazyStat statGetsFromJournal_{stats_, "engine.getsFromJournal"};
-    LazyStat statUpdates_{stats_, "engine.updates"};
-    LazyStat statUpdateBytes_{stats_, "engine.updateBytes"};
-    LazyStat statJournalStalls_{stats_, "engine.journalStalls"};
-    LazyStat statGroupCommits_{stats_, "engine.groupCommits"};
-    LazyStat statJournalPayloadBytes_{stats_,
-                                      "engine.journalPayloadBytes"};
-    LazyStat statJournalChunksStored_{stats_,
-                                      "engine.journalChunksStored"};
-    std::unique_ptr<CheckpointPolicy> policy_;
 
     /** Device-durable OOB version stamps: a single monotone counter
      *  shared by every write/copy so the SPOR rebuild's newest-wins
@@ -273,18 +188,11 @@ class LsmEngine : public StorageEngine
      *  carries per-key versions. */
     std::uint64_t globalSeq_ = 1;
 
-    // WAL state.
-    std::uint8_t activeHalf_ = 0;
-    std::uint64_t appendUnit_[2] = {0, 0};
-    std::uint64_t halfPayloadBytes_[2] = {0, 0};
-    std::vector<WalRec> halfRecords_[2];
-    bool halfClean_[2] = {true, true};
+    /** Records committed to each WAL half, in append order (the
+     *  flush's promotion list); cleared when the half is freed. */
+    std::vector<JmtEntry> halfRecords_[2];
+    /** L0 region each WAL half promotes into. */
     std::uint32_t halfRegion_[2] = {0, 0};
-    bool halfRegionValid_[2] = {false, false};
-    std::deque<std::vector<PendingRec>> pendingGroups_;
-    bool walInFlight_ = false;
-    bool walStalled_ = false;
-    std::function<void()> walQuiesceCb_;
 
     // L0 / L1 state.
     bool regionBusy_[kLsmL0Regions] = {};
@@ -292,19 +200,6 @@ class LsmEngine : public StorageEngine
     std::uint32_t usedRuns_ = 0;
     std::uint8_t ping_ = 0;
     std::uint64_t l1UsedUnits_[2] = {0, 0};
-
-    // Flush lifecycle.
-    bool flushInProgress_ = false;
-    bool pendingFlushRequest_ = false;
-    Tick flushStart_ = 0;
-    Tick flushDataDone_ = 0;
-    Tick flushMetaDone_ = 0;
-    std::vector<Tick> flushDurations_;
-    obs::CheckpointStat flushRec_;
-    std::uint64_t flushSeq_ = 0;
-    QueryGate gate_;
-    /** Telemetry sampler of the run (nullptr: telemetry off). */
-    obs::TelemetrySampler *telem_ = nullptr;
 };
 
 } // namespace checkin

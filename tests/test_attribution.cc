@@ -255,6 +255,37 @@ TEST(AttributionRun, DeviceStagesReceiveDwellOnReadHeavyRun)
         EXPECT_GE(slowest[i - 1].latency(), slowest[i].latency());
 }
 
+TEST(AttributionRun, LsmUpdatesChargeJournalAndDeviceStages)
+{
+    // The LSM appends through the shared journal, so its updates'
+    // group-commit wait and device time are attributed like Check-In's
+    // instead of falling through to Other.
+    obs::AttributionCollector attr;
+    attr.setEnabled(true);
+    obs::AttributionScope scope(&attr);
+    ExperimentConfig cfg = attributedConfig(CheckpointMode::CheckIn);
+    cfg.engine.backend = EngineBackend::Lsm;
+    const RunResult r = runExperiment(cfg);
+    expectConservation(attr, r);
+    Tick journal_wait = 0;
+    Tick device = 0;
+    for (const obs::OpRecord &rec : attr.ops()) {
+        if (rec.cls != obs::OpClass::Update)
+            continue;
+        journal_wait += rec.dwell[idx(obs::Stage::JournalWait)];
+        for (const obs::Stage s :
+             {obs::Stage::SsdQueue, obs::Stage::Firmware,
+              obs::Stage::FtlMap, obs::Stage::DramCache,
+              obs::Stage::NandWait, obs::Stage::NandMedia,
+              obs::Stage::GcStall, obs::Stage::Bus,
+              obs::Stage::Backpressure}) {
+            device += rec.dwell[idx(s)];
+        }
+    }
+    EXPECT_GT(journal_wait, 0u);
+    EXPECT_GT(device, 0u);
+}
+
 TEST(AttributionRun, LockedCheckpointsShowUpAsCheckpointStall)
 {
     obs::AttributionCollector attr;

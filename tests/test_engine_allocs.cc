@@ -1,15 +1,17 @@
 /**
  * @file
  * Exact heap-allocation gate for the host query path: closed-loop
- * ClientPool -> KvEngine get/update -> journal group commit.
+ * ClientPool -> engine get/update -> journal group commit, on both
+ * storage-engine backends.
  *
  * Part of checkin_alloc_tests (counting operator new, see
- * alloc_counter.h). A Check-In engine on an aged device is warmed
- * with closed-loop clients, then a fresh pool runs the measured
- * operations with no checkpoint in the window. Read-only traffic must
- * allocate nothing. Updates may allocate only the buffers the journal
- * still builds per group commit for its device write: the placed
- * records, the sector payload and the per-unit OOB annotations.
+ * alloc_counter.h). An engine on an aged device is warmed with
+ * closed-loop clients, then a fresh pool runs the measured
+ * operations with no checkpoint (memtable flush) in the window.
+ * Read-only traffic must allocate nothing. Updates may allocate only
+ * the buffers the journal still builds per group commit for its
+ * device write: the placed records, the sector payload and the
+ * per-unit OOB annotations.
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +20,8 @@
 
 #include "alloc_counter.h"
 #include "engine/kv_engine.h"
+#include "engine/layout.h"
+#include "engine/lsm/lsm_layout.h"
 #include "harness/copy_drill.h"
 #include "harness/presets.h"
 #include "sim/sim_context.h"
@@ -32,7 +36,7 @@ using test::heapAllocations;
 /** Heap allocations per journal group commit in steady state. */
 constexpr std::uint64_t kAllocsPerGroupCommit = 3;
 
-class EngineAllocs : public ::testing::Test
+class EngineAllocs : public ::testing::TestWithParam<EngineBackend>
 {
   protected:
     static constexpr std::uint32_t kThreads = 32;
@@ -41,21 +45,19 @@ class EngineAllocs : public ::testing::Test
     {
         ExperimentConfig cfg = presets::small();
         cfg.nand.blocksPerPlane = 32;
+        cfg.engine.backend = GetParam();
         cfg.engine.recordCount = 512;
-        // Checkpoints only on request: none runs inside a window.
+        // Checkpoints only on request or journal space pressure: none
+        // runs inside a window.
         cfg.engine.checkpointInterval = 0;
         cfg.engine.checkpointJournalBytes =
             cfg.engine.journalHalfBytes;
         FtlConfig ftl = cfg.ftl;
         ftl.mappingUnitBytes = cfg.resolvedMappingUnit();
         ssd_ = std::make_unique<Ssd>(ctx_, cfg.nand, ftl, cfg.ssd);
-        const DiskLayout layout =
-            DiskLayout::compute(cfg.engine, ssd_->capacitySectors(),
-                                ssd_->ftl().sectorsPerUnit());
-        ageDevice(ctx_.events(), *ssd_,
-                  layout.dataStart + layout.dataSectors,
+        ageDevice(ctx_.events(), *ssd_, storeEnd(cfg.engine),
                   ssd_->capacitySectors());
-        engine_ = std::make_unique<KvEngine>(ctx_, *ssd_, cfg.engine);
+        engine_ = presets::makeEngine(ctx_, *ssd_, cfg.engine);
         engine_->load([](std::uint64_t) { return 256u; });
         ctx_.events().schedule(ssd_->quiesceTick(), [] {});
         ctx_.events().run();
@@ -70,6 +72,20 @@ class EngineAllocs : public ::testing::Test
         run(WorkloadSpec::a(), 4000);
         run(WorkloadSpec::c(), 4000);
         primeEventQueue(ctx_.events());
+    }
+
+    /** First sector past the store's on-disk areas. */
+    Lba
+    storeEnd(const EngineConfig &ec) const
+    {
+        const std::uint64_t cap = ssd_->capacitySectors();
+        const std::uint32_t spu = ssd_->ftl().sectorsPerUnit();
+        if (ec.backend == EngineBackend::Lsm) {
+            const LsmLayout l = LsmLayout::compute(ec, cap, spu);
+            return l.l1Start[1] + l.l1Sectors;
+        }
+        const DiskLayout l = DiskLayout::compute(ec, cap, spu);
+        return l.dataStart + l.dataSectors;
     }
 
     /** Run @p ops of @p spec from closed-loop clients; returns the
@@ -94,13 +110,20 @@ class EngineAllocs : public ::testing::Test
         return engine_->stats().get(name);
     }
 
+    /** The Check-In engine under test; nullptr on the LSM. */
+    const KvEngine *
+    checkin() const
+    {
+        return dynamic_cast<const KvEngine *>(engine_.get());
+    }
+
     SimContext ctx_;
     SimContextScope scope_;
     std::unique_ptr<Ssd> ssd_;
-    std::unique_ptr<KvEngine> engine_;
+    std::unique_ptr<StorageEngine> engine_;
 };
 
-TEST_F(EngineAllocs, ReadOnlyQueriesAllocateNothing)
+TEST_P(EngineAllocs, ReadOnlyQueriesAllocateNothing)
 {
     constexpr std::uint64_t kOps = 8000;
     const std::uint64_t gets0 = stat("engine.gets");
@@ -111,14 +134,18 @@ TEST_F(EngineAllocs, ReadOnlyQueriesAllocateNothing)
     EXPECT_EQ(stat("engine.checkpoints"), ckpts0);
 }
 
-TEST_F(EngineAllocs, GroupCommitsAllocateOnlyTheirWriteBuffers)
+TEST_P(EngineAllocs, GroupCommitsAllocateOnlyTheirWriteBuffers)
 {
+    // Short enough that neither backend's journal half fills (the
+    // LSM pads every record to whole units) inside the window.
+    constexpr std::uint64_t kOps = 4000;
     const std::uint64_t flushes0 = stat("engine.journalFlushes");
     const std::uint64_t updates0 = stat("engine.updates");
     const std::uint64_t ckpts0 = stat("engine.checkpoints");
-    ASSERT_EQ(engine_->journal().jmtSize(), 512u);
+    if (checkin() != nullptr)
+        ASSERT_EQ(checkin()->jmtSize(), 512u);
 
-    const std::uint64_t allocs = run(WorkloadSpec::a(), 4000);
+    const std::uint64_t allocs = run(WorkloadSpec::a(), kOps);
     const std::uint64_t flushes =
         stat("engine.journalFlushes") - flushes0;
 
@@ -129,8 +156,17 @@ TEST_F(EngineAllocs, GroupCommitsAllocateOnlyTheirWriteBuffers)
         << " group commits";
     // The window stayed between checkpoints.
     EXPECT_EQ(stat("engine.checkpoints"), ckpts0);
-    EXPECT_EQ(engine_->journal().jmtSize(), 512u);
+    if (checkin() != nullptr)
+        EXPECT_EQ(checkin()->jmtSize(), 512u);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Backends, EngineAllocs,
+    ::testing::Values(EngineBackend::CheckIn, EngineBackend::Lsm),
+    [](const ::testing::TestParamInfo<EngineBackend> &info) {
+        return info.param == EngineBackend::CheckIn ? "checkin"
+                                                    : "lsm";
+    });
 
 } // namespace
 } // namespace checkin

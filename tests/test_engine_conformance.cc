@@ -13,6 +13,7 @@
 
 #include <map>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "engine/storage_engine.h"
@@ -221,6 +222,20 @@ TEST_P(EngineConformance, BatchAtomicAcrossPowerLossSweep)
 // ---------------------------------------------------------------------
 // Recovery
 // ---------------------------------------------------------------------
+
+TEST_P(EngineConformance, BatchAboveGroupCommitBoundIsRejected)
+{
+    // A transaction must land in one group commit, so one larger than
+    // the group bound can never be made atomic.
+    ConformanceRig rig(GetParam());
+    std::vector<StorageEngine::BatchOp> ops;
+    for (std::uint64_t i = 0; i <= rig.engine->config().maxCommitGroup;
+         ++i) {
+        ops.push_back({i % 200, 128});
+    }
+    rig.engine->updateBatch(std::move(ops), [](const QueryResult &) {});
+    EXPECT_THROW(rig.eq.run(), std::invalid_argument);
+}
 
 TEST_P(EngineConformance, PowerLossLosesNoCommittedUpdate)
 {

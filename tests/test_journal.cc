@@ -179,7 +179,7 @@ TEST(JournalManager, CommitsUpdateJmtAndKeymap)
     }
     s.eq.run();
     EXPECT_EQ(committed, 10);
-    EXPECT_EQ(s.engine->journal().jmtSize(), 10u);
+    EXPECT_EQ(s.engine->jmtSize(), 10u);
     for (int i = 0; i < 10; ++i) {
         EXPECT_TRUE(s.engine->keymap()[i].inJournal);
         EXPECT_EQ(s.engine->keymap()[i].version, 2u);
@@ -193,7 +193,7 @@ TEST(JournalManager, SameKeyKeepsLatestVersionInJmt)
     for (int i = 0; i < 5; ++i)
         s.engine->update(7, 200 + i, [](const QueryResult &) {});
     s.eq.run();
-    EXPECT_EQ(s.engine->journal().jmtSize(), 1u);
+    EXPECT_EQ(s.engine->jmtSize(), 1u);
     EXPECT_EQ(s.engine->keymap()[7].version, 6u);
     s.engine->verifyAllKeys();
 }
@@ -257,7 +257,7 @@ TEST(JournalManager, CheckpointSwitchesHalvesAndFreesLogs)
     s.eq.run();
     EXPECT_FALSE(s.engine->checkpointInProgress());
     EXPECT_EQ(s.engine->journal().activeHalf(), 1);
-    EXPECT_EQ(s.engine->journal().jmtSize(), 0u);
+    EXPECT_EQ(s.engine->jmtSize(), 0u);
     EXPECT_EQ(s.engine->journal().activeJournalBytes(), 0u);
     // Keys now read from the data area.
     for (int i = 0; i < 20; ++i)
@@ -280,7 +280,7 @@ TEST(JournalManager, UpdatesDuringCheckpointLandInNewHalf)
     s.eq.run();
     EXPECT_FALSE(s.engine->checkpointInProgress());
     // The new updates live in the new half's JMT.
-    EXPECT_EQ(s.engine->journal().jmtSize(), 10u);
+    EXPECT_EQ(s.engine->jmtSize(), 10u);
     for (int i = 0; i < 10; ++i)
         EXPECT_TRUE(s.engine->keymap()[100 + i].inJournal);
     s.engine->verifyAllKeys();
