@@ -1,11 +1,36 @@
 #include "harness/presets.h"
 
+#include <initializer_list>
 #include <stdexcept>
+#include <utility>
 
+#include "cluster/cluster_config.h"
 #include "engine/kv_engine.h"
 #include "engine/lsm/lsm_engine.h"
 
 namespace checkin::presets {
+
+namespace {
+
+/** Look @p name up in a (name, value) table; throw listing the
+ *  table's names if it is not there. */
+template <typename T>
+T
+lookup(const std::string &name, const char *what,
+       std::initializer_list<std::pair<const char *, T>> table)
+{
+    std::string expected;
+    for (const auto &[n, v] : table) {
+        if (name == n)
+            return v;
+        expected += (expected.empty() ? "" : "|") + std::string(n);
+    }
+    throw std::invalid_argument("unknown " + std::string(what) + " '" +
+                                name + "' (expected " + expected +
+                                ")");
+}
+
+} // namespace
 
 std::unique_ptr<StorageEngine>
 makeEngine(SimContext &ctx, Ssd &ssd, const EngineConfig &cfg)
@@ -22,12 +47,78 @@ makeEngine(SimContext &ctx, Ssd &ssd, const EngineConfig &cfg)
 EngineBackend
 parseEngineBackend(const std::string &name)
 {
-    if (name == "checkin")
-        return EngineBackend::CheckIn;
-    if (name == "lsm")
-        return EngineBackend::Lsm;
-    throw std::runtime_error("unknown engine backend: " + name +
-                             " (expected checkin or lsm)");
+    return lookup<EngineBackend>(name, "engine backend",
+                                 {{"checkin", EngineBackend::CheckIn},
+                                  {"lsm", EngineBackend::Lsm}});
+}
+
+CheckpointMode
+parseCheckpointMode(const std::string &name)
+{
+    using M = CheckpointMode;
+    return lookup<M>(name, "checkpoint mode",
+                     {{"baseline", M::Baseline}, {"isc-a", M::IscA},
+                      {"isc-b", M::IscB}, {"isc-c", M::IscC},
+                      {"checkin", M::CheckIn}});
+}
+
+WorkloadSpec
+parseWorkload(const std::string &name)
+{
+    using W = WorkloadSpec;
+    return lookup<W (*)()>(name, "workload",
+                           {{"a", W::a}, {"b", W::b}, {"c", W::c},
+                            {"d", W::d}, {"e", W::e}, {"f", W::f},
+                            {"wo", W::wo}})();
+}
+
+ArrivalProcess
+parseArrivalProcess(const std::string &name)
+{
+    using P = ArrivalProcess;
+    return lookup<P>(name, "arrival process",
+                     {{"poisson", P::Poisson}, {"mmpp", P::Mmpp},
+                      {"diurnal", P::Diurnal}});
+}
+
+CkptCoordination
+parseCoordination(const std::string &name)
+{
+    using C = CkptCoordination;
+    return lookup<C>(name, "checkpoint coordination",
+                     {{"independent", C::Independent},
+                      {"synchronized", C::Synchronized},
+                      {"staggered", C::Staggered}});
+}
+
+CheckpointPolicyKind
+parseCheckpointPolicy(const std::string &name)
+{
+    using K = CheckpointPolicyKind;
+    return lookup<K>(name, "checkpoint policy",
+                     {{"fixed", K::Fixed}, {"adaptive", K::Adaptive}});
+}
+
+std::uint64_t
+parseCount(const std::string &what, const std::string &text,
+           std::uint64_t lo, std::uint64_t hi)
+{
+    std::uint64_t v = 0;
+    bool ok = !text.empty();
+    for (const char c : text) {
+        const std::uint64_t d = std::uint64_t(c - '0');
+        if (c < '0' || c > '9' || d > hi || v > (hi - d) / 10) {
+            ok = false;
+            break;
+        }
+        v = v * 10 + d;
+    }
+    if (!ok || v < lo) {
+        throw std::invalid_argument(
+            what + " expects a whole number in [" + std::to_string(lo) +
+            ", " + std::to_string(hi) + "], got '" + text + "'");
+    }
+    return v;
 }
 
 ExperimentConfig

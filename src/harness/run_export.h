@@ -22,6 +22,11 @@ namespace checkin {
  */
 void writeRunResultJson(obs::JsonWriter &w, const RunResult &r);
 
+/** Write @p h as `"key": {count, max, mean, min, p50, p99, p999}`;
+ *  every latency histogram in run and cluster artifacts uses it. */
+void histJson(obs::JsonWriter &w, const std::string &key,
+              const LatencyHistogram &h);
+
 /** writeRunResultJson into a string (one trailing newline). */
 std::string runResultJson(const RunResult &r);
 

@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+
+#include "cluster/cluster_config.h"
 #include "harness/experiment.h"
 #include "harness/presets.h"
 #include "harness/table.h"
@@ -87,6 +91,125 @@ TEST(Harness, SeedChangesTheRun)
     cfg.workload.seed = 777;
     const RunResult b = runExperiment(cfg);
     EXPECT_NE(a.simSpan, b.simSpan);
+}
+
+// Every value `checkin_cli --help` lists parses to its enum, and
+// workload names cover all seven presets (a b c d e f wo).
+TEST(Presets, NameParsersAcceptEveryListedValue)
+{
+    EXPECT_EQ(presets::parseEngineBackend("checkin"),
+              EngineBackend::CheckIn);
+    EXPECT_EQ(presets::parseEngineBackend("lsm"), EngineBackend::Lsm);
+
+    const std::pair<const char *, CheckpointMode> modes[] = {
+        {"baseline", CheckpointMode::Baseline},
+        {"isc-a", CheckpointMode::IscA},
+        {"isc-b", CheckpointMode::IscB},
+        {"isc-c", CheckpointMode::IscC},
+        {"checkin", CheckpointMode::CheckIn}};
+    for (const auto &[name, mode] : modes)
+        EXPECT_EQ(presets::parseCheckpointMode(name), mode) << name;
+
+    const std::pair<const char *, WorkloadSpec> workloads[] = {
+        {"a", WorkloadSpec::a()}, {"b", WorkloadSpec::b()},
+        {"c", WorkloadSpec::c()}, {"d", WorkloadSpec::d()},
+        {"e", WorkloadSpec::e()}, {"f", WorkloadSpec::f()},
+        {"wo", WorkloadSpec::wo()}};
+    for (const auto &[name, spec] : workloads)
+        EXPECT_EQ(presets::parseWorkload(name).name, spec.name) << name;
+
+    const std::pair<const char *, ArrivalProcess> processes[] = {
+        {"poisson", ArrivalProcess::Poisson},
+        {"mmpp", ArrivalProcess::Mmpp},
+        {"diurnal", ArrivalProcess::Diurnal}};
+    for (const auto &[name, proc] : processes)
+        EXPECT_EQ(presets::parseArrivalProcess(name), proc) << name;
+
+    const std::pair<const char *, CkptCoordination> coordinations[] = {
+        {"independent", CkptCoordination::Independent},
+        {"synchronized", CkptCoordination::Synchronized},
+        {"staggered", CkptCoordination::Staggered}};
+    for (const auto &[name, coord] : coordinations)
+        EXPECT_EQ(presets::parseCoordination(name), coord) << name;
+
+    EXPECT_EQ(presets::parseCheckpointPolicy("fixed"),
+              CheckpointPolicyKind::Fixed);
+    EXPECT_EQ(presets::parseCheckpointPolicy("adaptive"),
+              CheckpointPolicyKind::Adaptive);
+}
+
+TEST(Presets, NameParsersRejectUnknownValues)
+{
+    EXPECT_THROW(presets::parseEngineBackend("rocksdb"),
+                 std::invalid_argument);
+    EXPECT_THROW(presets::parseCheckpointMode("isc-d"),
+                 std::invalid_argument);
+    EXPECT_THROW(presets::parseCheckpointMode("Check-In"),
+                 std::invalid_argument);
+    EXPECT_THROW(presets::parseWorkload("g"), std::invalid_argument);
+    EXPECT_THROW(presets::parseWorkload("A"), std::invalid_argument);
+    EXPECT_THROW(presets::parseArrivalProcess("bursty"),
+                 std::invalid_argument);
+    // Coordination and checkpoint-policy names are disjoint sets.
+    EXPECT_THROW(presets::parseCoordination("adaptive"),
+                 std::invalid_argument);
+    EXPECT_THROW(presets::parseCheckpointPolicy("synchronized"),
+                 std::invalid_argument);
+    try {
+        presets::parseCheckpointMode("");
+        FAIL() << "empty mode accepted";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "baseline|isc-a|isc-b|isc-c|checkin"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(Presets, ParseCountAcceptsOnlyInRangeDecimals)
+{
+    constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+    struct Case
+    {
+        const char *text;
+        std::uint64_t lo, hi;
+        bool ok;
+        std::uint64_t value;
+    };
+    const Case cases[] = {
+        {"0", 0, kMax, true, 0},
+        {"20000", 0, kMax, true, 20000},
+        {"007", 0, kMax, true, 7},
+        {"18446744073709551615", 0, kMax, true, kMax},
+        {"18446744073709551616", 0, kMax, false, 0}, // overflow
+        {"99999999999999999999", 0, kMax, false, 0},
+        {"-5", 0, kMax, false, 0},
+        {"+5", 0, kMax, false, 0},
+        {"abc", 0, kMax, false, 0},
+        {"12abc", 0, kMax, false, 0},
+        {"1e3", 0, kMax, false, 0},
+        {"0x10", 0, kMax, false, 0},
+        {" 5", 0, kMax, false, 0},
+        {"5 ", 0, kMax, false, 0},
+        {"", 0, kMax, false, 0},
+        {"0", 1, kMax, false, 0}, // below lo (--threads 0)
+        {"1", 1, 4, true, 1},
+        {"4", 1, 4, true, 4},
+        {"9", 1, 4, false, 0}, // above hi (--pattern 9)
+        {"4294967295", 1, 4294967295u, true, 4294967295u},
+        {"4294967296", 1, 4294967295u, false, 0}, // u32 narrowing
+    };
+    for (const Case &c : cases) {
+        if (c.ok) {
+            EXPECT_EQ(presets::parseCount("--n", c.text, c.lo, c.hi),
+                      c.value)
+                << "'" << c.text << "'";
+        } else {
+            EXPECT_THROW(presets::parseCount("--n", c.text, c.lo, c.hi),
+                         std::invalid_argument)
+                << "'" << c.text << "'";
+        }
+    }
 }
 
 } // namespace
