@@ -12,7 +12,6 @@
  */
 
 #include <cstdio>
-#include <cstring>
 
 #include "bench_common.h"
 
@@ -68,12 +67,8 @@ backendName(EngineBackend b)
 int
 main(int argc, char **argv)
 {
-    const SweepOptions opts = sweepOptionsFromArgs(argc, argv);
     bool quick = false;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--quick") == 0)
-            quick = true;
-    }
+    const SweepOptions opts = sweepOptionsFromArgs(argc, argv, &quick);
 
     printConfigOnce(presets::paper());
     printHeader("Engine comparison",

@@ -19,7 +19,6 @@
  */
 
 #include <cstdio>
-#include <cstring>
 
 #include "bench_common.h"
 #include "harness/crash_oracle.h"
@@ -133,11 +132,7 @@ int
 main(int argc, char **argv)
 {
     bool quick = false;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--quick") == 0)
-            quick = true;
-    }
-    const SweepOptions opts = sweepOptionsFromArgs(argc, argv);
+    const SweepOptions opts = sweepOptionsFromArgs(argc, argv, &quick);
 
     BenchReport report("fault");
     intensitySweep(report, opts, quick);

@@ -19,7 +19,6 @@
  */
 
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -106,12 +105,8 @@ policyName(CheckpointPolicyKind k)
 int
 main(int argc, char **argv)
 {
-    const SweepOptions opts = sweepOptionsFromArgs(argc, argv);
     bool quick = false;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--quick") == 0)
-            quick = true;
-    }
+    const SweepOptions opts = sweepOptionsFromArgs(argc, argv, &quick);
 
     printConfigOnce(presets::small());
     printHeader("Open-loop traffic sweep",

@@ -19,7 +19,6 @@
 #include <fstream>
 #include <limits>
 #include <map>
-#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -27,6 +26,7 @@
 #include "cluster/cluster.h"
 #include "engine/storage_engine.h"
 #include "harness/experiment.h"
+#include "harness/node_stack.h"
 #include "harness/presets.h"
 #include "harness/report.h"
 #include "harness/table.h"
@@ -34,7 +34,6 @@
 #include "obs/trace.h"
 #include "sim/event_queue.h"
 #include "sim/sim_context.h"
-#include "ssd/ssd.h"
 #include "workload/trace.h"
 
 namespace {
@@ -814,15 +813,9 @@ optraceReplay(const std::vector<std::string> &a)
     base.engine.recordCount = max_key + 1;
     SimContext ctx;
     EventQueue &eq = ctx.events();
-    FtlConfig ftl_cfg = base.ftl;
-    ftl_cfg.mappingUnitBytes = base.resolvedMappingUnit();
-    Ssd ssd(ctx, base.nand, ftl_cfg, base.ssd);
-    const std::unique_ptr<StorageEngine> engine_ptr =
-        presets::makeEngine(ctx, ssd, base.engine);
-    StorageEngine &engine = *engine_ptr;
-    engine.load([](std::uint64_t) { return 384u; });
-    eq.schedule(ssd.quiesceTick(), [] {});
-    eq.run();
+    NodeStack node(ctx, base);
+    node.load([](std::uint64_t) { return 384u; });
+    StorageEngine &engine = node.engine();
     engine.start();
 
     const Tick start = eq.now();

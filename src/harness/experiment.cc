@@ -1,10 +1,9 @@
 #include "harness/experiment.h"
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "engine/storage_engine.h"
-#include "harness/presets.h"
+#include "harness/node_stack.h"
 #include "harness/run_export.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -36,39 +35,6 @@ ExperimentConfig::resolvedMappingUnit() const
     }
     return 512;
 }
-
-namespace {
-
-/** Snapshot every stat registry into one prefixed map. */
-std::map<std::string, std::uint64_t>
-collectStats(const Ssd &ssd, const StorageEngine &engine)
-{
-    std::map<std::string, std::uint64_t> out;
-    for (const auto &[k, v] : ssd.nand().stats().all())
-        out[k] = v;
-    for (const auto &[k, v] : ssd.ftl().stats().all())
-        out[k] = v;
-    for (const auto &[k, v] : ssd.stats().all())
-        out[k] = v;
-    for (const auto &[k, v] : engine.stats().all())
-        out[k] = v;
-    return out;
-}
-
-std::uint64_t
-delta(const std::map<std::string, std::uint64_t> &after,
-      const std::map<std::string, std::uint64_t> &before,
-      const std::string &key)
-{
-    const auto a = after.find(key);
-    if (a == after.end())
-        return 0;
-    const auto b = before.find(key);
-    const std::uint64_t base = b == before.end() ? 0 : b->second;
-    return a->second - base;
-}
-
-} // namespace
 
 RunResult
 runExperiment(const ExperimentConfig &cfg)
@@ -132,40 +98,16 @@ runExperiment(const ExperimentConfig &cfg)
         ctx.setTelemetry(&telemetry);
     SimContextScope active(ctx);
 
-    // The fault plan must exist before the device: the Ssd wires it
-    // into the NAND at construction. Its seed derives from the run
-    // seed, so the schedule is part of the run identity.
-    FaultPlan faults(cfg.faults,
-                     ctx.deriveSeed(FaultPlan::kSeedStream));
-    ctx.setFaults(&faults);
-
+    // Fault plan, device and engine, then the load, the quiesce
+    // drain and the post-load baseline (harness/node_stack.h).
+    NodeStack stack(ctx, cfg);
     EventQueue &eq = ctx.events();
-    FtlConfig ftl_cfg = cfg.ftl;
-    ftl_cfg.mappingUnitBytes = cfg.resolvedMappingUnit();
-    Ssd ssd(ctx, cfg.nand, ftl_cfg, cfg.ssd);
-    const std::unique_ptr<StorageEngine> engine_ptr =
-        presets::makeEngine(ctx, ssd, cfg.engine);
-    StorageEngine &engine = *engine_ptr;
-
+    Ssd &ssd = stack.ssd();
+    StorageEngine &engine = stack.engine();
     WorkloadGenerator sizer(cfg.workload, cfg.engine.recordCount);
-    engine.load([&sizer](std::uint64_t key) {
+    stack.load([&sizer](std::uint64_t key) {
         return sizer.initialSize(key);
     });
-
-    // Let the load drain so run-time latencies start from an idle
-    // device, then snapshot stats so results exclude the load.
-    eq.schedule(ssd.quiesceTick(), [] {});
-    eq.run();
-    const auto before = collectStats(ssd, engine);
-    const std::uint64_t ckpt_before =
-        engine.checkpointDurations().size();
-    if (tracer != nullptr) {
-        // Drop load-phase events (lane names survive) so the trace
-        // covers exactly the measured run.
-        tracer->clear();
-    }
-    if (attr != nullptr)
-        attr->clearForMeasurement();
 
     const bool want_artifacts = !cfg.obs.artifactDir.empty();
 
@@ -222,26 +164,21 @@ runExperiment(const ExperimentConfig &cfg)
     r.throughputOps = r.client.opsPerSec();
     r.avgLatencyUs = r.client.all.mean() / double(kUsec);
 
-    const auto &durations = engine.checkpointDurations();
-    r.checkpoints = durations.size() - ckpt_before;
-    Tick total = 0;
-    Tick worst = 0;
-    for (std::size_t i = ckpt_before; i < durations.size(); ++i) {
-        total += durations[i];
-        worst = std::max(worst, durations[i]);
-    }
-    if (r.checkpoints > 0) {
-        r.avgCheckpointMs =
-            double(total) / double(r.checkpoints) / double(kMsec);
-    }
-    r.maxCheckpointMs = double(worst) / double(kMsec);
+    const CheckpointTally ckpts = stack.checkpointsSinceLoad();
+    r.checkpoints = ckpts.count;
+    r.avgCheckpointMs = ckpts.avgMs;
+    r.maxCheckpointMs = ckpts.maxMs;
 
-    const auto after = collectStats(ssd, engine);
-    r.raw = after;
+    r.raw = stack.stats();
+    const StatMap d = stack.deltasSinceLoad();
+    const auto delta = [&d](const std::string &key) {
+        return statOr0(d, key);
+    };
     // Fault-plan outcome: counters, wear skew, and the schedule
     // digest ride along in the raw map so sweeps and the oracle can
     // assert fault determinism from exported artifacts alone.
     {
+        const FaultPlan &faults = stack.faults();
         const FaultCounters &fc = faults.counters();
         r.raw["fault.faultyReads"] = fc.faultyReads;
         r.raw["fault.readRetries"] = fc.readRetries;
@@ -261,38 +198,30 @@ runExperiment(const ExperimentConfig &cfg)
         metrics.set(metrics.counter("fault.eraseFails"),
                     fc.eraseFails);
     }
-    r.nandReads = delta(after, before, "nand.reads");
-    r.nandPrograms = delta(after, before, "nand.programs");
-    r.nandErases = delta(after, before, "nand.erases");
-    r.gcInvocations = delta(after, before, "gc.invocations");
-    r.gcMigratedSlots = delta(after, before, "gc.migratedSlots");
-    r.remaps = delta(after, before, "ftl.remaps");
-    r.redundantSlotWrites =
-        delta(after, before, "ftl.slotWrites.checkpoint");
-    r.redundantBytes =
-        r.redundantSlotWrites * ftl_cfg.mappingUnitBytes;
-    r.invalidatedSlots =
-        delta(after, before, "ftl.invalidatedSlots");
-    r.journalPayloadBytes =
-        delta(after, before, "engine.journalPayloadBytes");
-    r.journalChunksStored =
-        delta(after, before, "engine.journalChunksStored");
+    r.nandReads = delta("nand.reads");
+    r.nandPrograms = delta("nand.programs");
+    r.nandErases = delta("nand.erases");
+    r.gcInvocations = delta("gc.invocations");
+    r.gcMigratedSlots = delta("gc.migratedSlots");
+    r.remaps = delta("ftl.remaps");
+    r.redundantSlotWrites = delta("ftl.slotWrites.checkpoint");
+    r.redundantBytes = r.redundantSlotWrites * cfg.resolvedMappingUnit();
+    r.invalidatedSlots = delta("ftl.invalidatedSlots");
+    r.journalPayloadBytes = delta("engine.journalPayloadBytes");
+    r.journalChunksStored = delta("engine.journalChunksStored");
     r.journalChunkBytes = kChunkBytes;
-    r.journalStalls = delta(after, before, "engine.journalStalls");
+    r.journalStalls = delta("engine.journalStalls");
     r.journalFillRate = engine.journalFillRate();
     metrics.set(metrics.gauge("journal.fillRate"),
                 std::uint64_t(r.journalFillRate));
-    r.mergedUnits = delta(after, before, "engine.mergedUnits");
-    r.ckptLogsSeen = delta(after, before, "engine.ckptLogsSeen");
-    r.ckptLatestEntries =
-        delta(after, before, "engine.ckptLatestEntries");
-    r.hostWriteSectors =
-        delta(after, before, "ftl.hostWriteSectors");
-    r.hostReadSectors = delta(after, before, "ftl.hostReadSectors");
-    r.ckptDataTicks = delta(after, before, "engine.ckptDataTicks");
-    r.ckptMetaTicks = delta(after, before, "engine.ckptMetaTicks");
-    r.ckptDeleteTicks =
-        delta(after, before, "engine.ckptDeleteTicks");
+    r.mergedUnits = delta("engine.mergedUnits");
+    r.ckptLogsSeen = delta("engine.ckptLogsSeen");
+    r.ckptLatestEntries = delta("engine.ckptLatestEntries");
+    r.hostWriteSectors = delta("ftl.hostWriteSectors");
+    r.hostReadSectors = delta("ftl.hostReadSectors");
+    r.ckptDataTicks = delta("engine.ckptDataTicks");
+    r.ckptMetaTicks = delta("engine.ckptMetaTicks");
+    r.ckptDeleteTicks = delta("engine.ckptDeleteTicks");
     if (r.journalPayloadBytes > 0) {
         r.waf = double(r.nandPrograms) * cfg.nand.pageBytes /
                 double(r.journalPayloadBytes);

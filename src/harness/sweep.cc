@@ -1,47 +1,73 @@
 #include "harness/sweep.h"
 
 #include <atomic>
+#include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <filesystem>
+#include <stdexcept>
+#include <string>
 #include <thread>
 
+#include "harness/presets.h"
 #include "sim/rng.h"
 
 namespace checkin {
+
+namespace {
+
+/** Largest worker count a flag or CHECKIN_JOBS may ask for. */
+constexpr std::uint64_t kMaxJobs = 1024;
+
+unsigned
+parseJobs(const std::string &what, const std::string &text)
+{
+    return unsigned(presets::parseCount(what, text, 1, kMaxJobs));
+}
+
+} // namespace
 
 unsigned
 resolveJobs(unsigned requested)
 {
     if (requested != 0)
         return requested;
-    if (const char *env = std::getenv("CHECKIN_JOBS")) {
-        const long v = std::strtol(env, nullptr, 10);
-        if (v > 0)
-            return static_cast<unsigned>(v);
-    }
+    if (const char *env = std::getenv("CHECKIN_JOBS"))
+        return parseJobs("CHECKIN_JOBS", env);
     const unsigned hw = std::thread::hardware_concurrency();
     return hw > 0 ? hw : 1;
 }
 
 SweepOptions
-sweepOptionsFromArgs(int argc, char **argv)
+sweepOptionsFromArgs(int argc, char **argv, bool *quick)
 {
     SweepOptions opts;
-    for (int i = 1; i < argc; ++i) {
-        const char *arg = argv[i];
-        long v = 0;
-        if (std::strcmp(arg, "--jobs") == 0 && i + 1 < argc) {
-            v = std::strtol(argv[++i], nullptr, 10);
-        } else if (std::strncmp(arg, "--jobs=", 7) == 0) {
-            v = std::strtol(arg + 7, nullptr, 10);
-        } else if (std::strncmp(arg, "-j", 2) == 0 &&
-                   arg[2] != '\0') {
-            v = std::strtol(arg + 2, nullptr, 10);
-        } else {
-            continue;
+    try {
+        for (int i = 1; i < argc; ++i) {
+            const std::string arg = argv[i];
+            if (arg == "--quick" && quick != nullptr) {
+                *quick = true;
+            } else if (arg == "--jobs") {
+                if (i + 1 == argc)
+                    throw std::invalid_argument("--jobs needs a value");
+                opts.jobs = parseJobs("--jobs", argv[++i]);
+            } else if (arg.rfind("--jobs=", 0) == 0) {
+                opts.jobs = parseJobs("--jobs", arg.substr(7));
+            } else if (arg.rfind("-j", 0) == 0 && arg.size() > 2) {
+                opts.jobs = parseJobs("-j", arg.substr(2));
+            } else {
+                throw std::invalid_argument(
+                    "unknown flag '" + arg + "' (expected " +
+                    (quick != nullptr ? "--quick, " : "") +
+                    "--jobs N, --jobs=N or -jN)");
+            }
         }
-        if (v > 0)
-            opts.jobs = static_cast<unsigned>(v);
+        // A malformed $CHECKIN_JOBS fails here, before any point runs.
+        resolveJobs(opts.jobs);
+    } catch (const std::invalid_argument &e) {
+        std::fprintf(stderr, "%s: %s\n",
+                     std::filesystem::path(argv[0]).filename().c_str(),
+                     e.what());
+        std::exit(2);
     }
     return opts;
 }

@@ -65,15 +65,19 @@ struct SweepOptions
 };
 
 /** Resolve a worker count: @p requested, else $CHECKIN_JOBS, else
- *  std::thread::hardware_concurrency(), never less than 1. */
+ *  std::thread::hardware_concurrency(), never less than 1. Throws
+ *  std::invalid_argument when $CHECKIN_JOBS is not a count in
+ *  [1, 1024]. */
 unsigned resolveJobs(unsigned requested);
 
 /**
- * Parse sweep flags from a bench command line: "--jobs N" / "-jN".
- * Unrelated arguments are ignored. Malformed values fall back to the
- * environment/hardware default.
+ * Parse a bench command line: "--jobs N", "--jobs=N" or "-jN", plus
+ * "--quick" when @p quick is given (the benches with a CI-sized run
+ * pass it). Any other argument, a count outside [1, 1024] or a
+ * malformed $CHECKIN_JOBS prints the reason and exits with status 2.
  */
-SweepOptions sweepOptionsFromArgs(int argc, char **argv);
+SweepOptions sweepOptionsFromArgs(int argc, char **argv,
+                                  bool *quick = nullptr);
 
 /**
  * Run every point, at most opts.jobs at a time, and return outcomes

@@ -1,6 +1,5 @@
 #include "workload/ycsb.h"
 
-#include <cassert>
 #include <stdexcept>
 
 namespace checkin {
@@ -102,7 +101,10 @@ WorkloadGenerator::WorkloadGenerator(const WorkloadSpec &spec,
                                      std::uint64_t key_count)
     : spec_(spec), keyCount_(key_count), rng_(spec.seed)
 {
-    assert(key_count > 0);
+    // Every key chooser draws from [0, key_count): an empty key space
+    // has nothing to draw, in every build type.
+    if (key_count == 0)
+        throw std::invalid_argument("workload needs at least one key");
     switch (spec_.distribution) {
       case Distribution::Uniform:
         dist_ = std::make_unique<UniformDistribution>(key_count);

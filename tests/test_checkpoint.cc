@@ -8,66 +8,20 @@
 #include <gtest/gtest.h>
 
 #include <map>
-#include <memory>
 
-#include "engine/kv_engine.h"
-#include "sim/event_queue.h"
-#include "sim/sim_context.h"
 #include "sim/rng.h"
-#include "ssd/ssd.h"
+#include "test_stack.h"
 
 namespace checkin {
 namespace {
 
-NandConfig
-smallNand()
+struct Stack : TestStack<>
 {
-    NandConfig c;
-    c.channels = 2;
-    c.diesPerChannel = 2;
-    c.blocksPerPlane = 32;
-    c.pagesPerBlock = 32;
-    return c;
-}
-
-std::uint32_t
-unitFor(CheckpointMode mode)
-{
-    switch (mode) {
-      case CheckpointMode::Baseline:
-      case CheckpointMode::IscA:
-      case CheckpointMode::IscB:
-        return 4096;
-      default:
-        return 512;
-    }
-}
-
-struct Stack
-{
-    SimContext ctx;
-    EventQueue &eq = ctx.events();
-    std::unique_ptr<Ssd> ssd;
-    std::unique_ptr<KvEngine> engine;
-
     explicit Stack(CheckpointMode mode)
+        : TestStack(stackConfig(mode, 400), [](std::uint64_t k) {
+              return std::uint32_t(128 * (1 + k % 4));
+          })
     {
-        FtlConfig ftl_cfg;
-        ftl_cfg.mappingUnitBytes = unitFor(mode);
-        ssd = std::make_unique<Ssd>(ctx, smallNand(), ftl_cfg,
-                                    SsdConfig{});
-        EngineConfig ecfg;
-        ecfg.mode = mode;
-        ecfg.recordCount = 400;
-        ecfg.journalHalfBytes = 2 * kMiB;
-        ecfg.checkpointJournalBytes = kMiB;
-        ecfg.checkpointInterval = 0;
-        engine = std::make_unique<KvEngine>(ctx, *ssd, ecfg);
-        engine->load([](std::uint64_t k) {
-            return std::uint32_t(128 * (1 + k % 4));
-        });
-        eq.schedule(ssd->quiesceTick(), [] {});
-        eq.run();
     }
 
     /** Apply a deterministic update mix and checkpoint twice. */

@@ -11,17 +11,12 @@
 #include <gtest/gtest.h>
 
 #include <map>
-#include <memory>
 
 #include "engine/checkpoint_policy.h"
-#include "engine/kv_engine.h"
 #include "harness/experiment.h"
 #include "harness/presets.h"
-#include "nand/nand_flash.h"
-#include "sim/event_queue.h"
 #include "sim/rng.h"
-#include "sim/sim_context.h"
-#include "ssd/ssd.h"
+#include "test_stack.h"
 
 namespace checkin {
 namespace {
@@ -207,12 +202,6 @@ TEST(AdaptivePolicy, OpenLoopOverloadSweepNeverStallsTheJournal)
  */
 TEST(AdaptivePolicy, PowerCutRecoveryKeepsCommittedUpdates)
 {
-    NandConfig nand;
-    nand.channels = 2;
-    nand.diesPerChannel = 2;
-    nand.blocksPerPlane = 32;
-    nand.pagesPerBlock = 32;
-
     EngineConfig ec;
     ec.mode = CheckpointMode::CheckIn;
     ec.checkpointPolicy = CheckpointPolicyKind::Adaptive;
@@ -223,45 +212,30 @@ TEST(AdaptivePolicy, PowerCutRecoveryKeepsCommittedUpdates)
     // the updates complete, so every decision rides the append path.
     ec.adaptive.controlInterval = 0;
     ec.adaptive.minCheckpointBytes = 32 * kKiB;
-
-    SimContext ctx;
-    EventQueue &eq = ctx.events();
-    FtlConfig ftl_cfg;
-    ftl_cfg.mappingUnitBytes = 512;
-    Ssd ssd(ctx, nand, ftl_cfg, SsdConfig{});
-    auto engine = std::make_unique<KvEngine>(ctx, ssd, ec);
-    engine->load([](std::uint64_t) { return 384u; });
-    eq.schedule(ssd.quiesceTick(), [] {});
-    eq.run();
+    TestStack<> s(stackConfig(ec), 384);
 
     Rng rng(5);
     std::map<std::uint64_t, std::uint32_t> committed;
     for (int i = 0; i < 600; ++i) {
         const std::uint64_t key = rng.nextBounded(300);
-        engine->update(key,
-                       std::uint32_t(128 * (1 + rng.nextBounded(4))),
-                       [&committed, key,
-                        &engine](const QueryResult &) {
-                           committed[key] =
-                               engine->keymap()[key].version;
-                       });
+        s.engine->update(
+            key, std::uint32_t(128 * (1 + rng.nextBounded(4))),
+            [&committed, key, &s](const QueryResult &) {
+                committed[key] = s.engine->keymap()[key].version;
+            });
     }
-    eq.run();
+    s.eq.run();
 
     // Host crash + device power loss with SPOR + firmware rebuild.
-    eq.clear();
-    engine.reset();
-    const auto report = ssd.suddenPowerLoss();
+    const auto report = s.node.crash(CrashModel::PowerCut);
     EXPECT_GT(report.slotsRecovered, 0u);
-    ssd.ftl().checkInvariants();
 
-    engine = std::make_unique<KvEngine>(ctx, ssd, ec);
-    engine->recover();
+    s.recover();
     for (const auto &[key, version] : committed) {
-        EXPECT_GE(engine->keymap()[key].version, version)
+        EXPECT_GE(s.engine->keymap()[key].version, version)
             << "lost key " << key;
     }
-    engine->verifyAllKeys();
+    s.engine->verifyAllKeys();
 }
 
 } // namespace

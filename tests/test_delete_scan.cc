@@ -7,61 +7,18 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
-
-#include "engine/kv_engine.h"
-#include "sim/event_queue.h"
-#include "sim/sim_context.h"
 #include "sim/rng.h"
-#include "ssd/ssd.h"
+#include "test_stack.h"
 #include "workload/client.h"
 
 namespace checkin {
 namespace {
 
-NandConfig
-smallNand()
+struct Stack : TestStack<>
 {
-    NandConfig c;
-    c.channels = 2;
-    c.diesPerChannel = 2;
-    c.blocksPerPlane = 32;
-    c.pagesPerBlock = 32;
-    return c;
-}
-
-EngineConfig
-engineCfg(CheckpointMode mode)
-{
-    EngineConfig c;
-    c.mode = mode;
-    c.recordCount = 300;
-    c.journalHalfBytes = 2 * kMiB;
-    c.checkpointJournalBytes = kMiB;
-    c.checkpointInterval = 0;
-    return c;
-}
-
-struct Stack
-{
-    SimContext ctx;
-    EventQueue &eq = ctx.events();
-    std::unique_ptr<Ssd> ssd;
-    std::unique_ptr<KvEngine> engine;
-    CheckpointMode mode;
-
     explicit Stack(CheckpointMode m = CheckpointMode::CheckIn)
-        : mode(m)
+        : TestStack(stackConfig(m), 256)
     {
-        FtlConfig ftl_cfg;
-        ftl_cfg.mappingUnitBytes =
-            m == CheckpointMode::Baseline ? 4096 : 512;
-        ssd = std::make_unique<Ssd>(ctx, smallNand(), ftl_cfg,
-                                    SsdConfig{});
-        engine = std::make_unique<KvEngine>(ctx, *ssd, engineCfg(m));
-        engine->load([](std::uint64_t) { return 256u; });
-        eq.schedule(ssd->quiesceTick(), [] {});
-        eq.run();
     }
 };
 
@@ -155,11 +112,8 @@ TEST_P(DeleteRecovery, TombstonesSurviveCrash)
         s.eq.run();
     }
     // Crash + recover.
-    s.eq.clear();
-    s.engine.reset();
-    s.engine = std::make_unique<KvEngine>(s.ctx, *s.ssd,
-                                          engineCfg(s.mode));
-    s.engine->recover();
+    s.node.crash(CrashModel::HostRestart);
+    s.recover();
     for (std::uint64_t k = 10; k < 20; ++k) {
         bool got = true;
         s.engine->get(k, [&](const QueryResult &r) {

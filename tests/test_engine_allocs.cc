@@ -16,13 +16,12 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
-
 #include "alloc_counter.h"
 #include "engine/kv_engine.h"
 #include "engine/layout.h"
 #include "engine/lsm/lsm_layout.h"
 #include "harness/copy_drill.h"
+#include "harness/node_stack.h"
 #include "harness/presets.h"
 #include "sim/sim_context.h"
 #include "ssd/ssd.h"
@@ -41,27 +40,14 @@ class EngineAllocs : public ::testing::TestWithParam<EngineBackend>
   protected:
     static constexpr std::uint32_t kThreads = 32;
 
-    EngineAllocs() : ctx_(7), scope_(ctx_)
+    EngineAllocs()
+        : ctx_(7), scope_(ctx_), stack_(ctx_, config(GetParam()))
     {
-        ExperimentConfig cfg = presets::small();
-        cfg.nand.blocksPerPlane = 32;
-        cfg.engine.backend = GetParam();
-        cfg.engine.recordCount = 512;
-        // Checkpoints only on request or journal space pressure: none
-        // runs inside a window.
-        cfg.engine.checkpointInterval = 0;
-        cfg.engine.checkpointJournalBytes =
-            cfg.engine.journalHalfBytes;
-        FtlConfig ftl = cfg.ftl;
-        ftl.mappingUnitBytes = cfg.resolvedMappingUnit();
-        ssd_ = std::make_unique<Ssd>(ctx_, cfg.nand, ftl, cfg.ssd);
-        ageDevice(ctx_.events(), *ssd_, storeEnd(cfg.engine),
-                  ssd_->capacitySectors());
-        engine_ = presets::makeEngine(ctx_, *ssd_, cfg.engine);
-        engine_->load([](std::uint64_t) { return 256u; });
-        ctx_.events().schedule(ssd_->quiesceTick(), [] {});
-        ctx_.events().run();
-        engine_->start();
+        Ssd &ssd = stack_.ssd();
+        ageDevice(ctx_.events(), ssd, storeEnd(stack_.engine().config()),
+                  ssd.capacitySectors());
+        stack_.load([](std::uint64_t) { return 256u; });
+        stack_.engine().start();
 
         // Warm up: every key gets a journal-resident version (so the
         // JMT holds them all), and both query kinds run once at full
@@ -74,12 +60,27 @@ class EngineAllocs : public ::testing::TestWithParam<EngineBackend>
         primeEventQueue(ctx_.events());
     }
 
+    static ExperimentConfig
+    config(EngineBackend backend)
+    {
+        ExperimentConfig cfg = presets::small();
+        cfg.nand.blocksPerPlane = 32;
+        cfg.engine.backend = backend;
+        cfg.engine.recordCount = 512;
+        // Checkpoints only on request or journal space pressure: none
+        // runs inside a window.
+        cfg.engine.checkpointInterval = 0;
+        cfg.engine.checkpointJournalBytes =
+            cfg.engine.journalHalfBytes;
+        return cfg;
+    }
+
     /** First sector past the store's on-disk areas. */
     Lba
-    storeEnd(const EngineConfig &ec) const
+    storeEnd(const EngineConfig &ec)
     {
-        const std::uint64_t cap = ssd_->capacitySectors();
-        const std::uint32_t spu = ssd_->ftl().sectorsPerUnit();
+        const std::uint64_t cap = stack_.ssd().capacitySectors();
+        const std::uint32_t spu = stack_.ssd().ftl().sectorsPerUnit();
         if (ec.backend == EngineBackend::Lsm) {
             const LsmLayout l = LsmLayout::compute(ec, cap, spu);
             return l.l1Start[1] + l.l1Sectors;
@@ -94,7 +95,7 @@ class EngineAllocs : public ::testing::TestWithParam<EngineBackend>
     run(WorkloadSpec spec, std::uint64_t ops)
     {
         spec.operationCount = ops;
-        ClientPool pool(ctx_, *engine_, spec, kThreads);
+        ClientPool pool(ctx_, stack_.engine(), spec, kThreads);
         const std::uint64_t before = heapAllocations();
         pool.start();
         while (!pool.done() && ctx_.events().step()) {
@@ -107,20 +108,19 @@ class EngineAllocs : public ::testing::TestWithParam<EngineBackend>
     std::uint64_t
     stat(const char *name) const
     {
-        return engine_->stats().get(name);
+        return stack_.engine().stats().get(name);
     }
 
     /** The Check-In engine under test; nullptr on the LSM. */
     const KvEngine *
     checkin() const
     {
-        return dynamic_cast<const KvEngine *>(engine_.get());
+        return dynamic_cast<const KvEngine *>(&stack_.engine());
     }
 
     SimContext ctx_;
     SimContextScope scope_;
-    std::unique_ptr<Ssd> ssd_;
-    std::unique_ptr<StorageEngine> engine_;
+    NodeStack stack_;
 };
 
 TEST_P(EngineAllocs, ReadOnlyQueriesAllocateNothing)

@@ -12,34 +12,20 @@
 #include <gtest/gtest.h>
 
 #include <map>
-#include <memory>
 #include <stdexcept>
 #include <vector>
 
 #include "engine/storage_engine.h"
 #include "harness/crash_oracle.h"
 #include "harness/presets.h"
-#include "sim/event_queue.h"
 #include "sim/rng.h"
-#include "sim/sim_context.h"
-#include "ssd/ssd.h"
+#include "test_stack.h"
 
 namespace checkin {
 namespace {
 
-NandConfig
-smallNand()
-{
-    NandConfig c;
-    c.channels = 2;
-    c.diesPerChannel = 2;
-    c.blocksPerPlane = 32;
-    c.pagesPerBlock = 32;
-    return c;
-}
-
-EngineConfig
-engineCfg(EngineBackend backend)
+ExperimentConfig
+stackCfg(EngineBackend backend)
 {
     EngineConfig c;
     c.backend = backend;
@@ -48,35 +34,23 @@ engineCfg(EngineBackend backend)
     c.journalHalfBytes = kMiB;
     c.checkpointJournalBytes = 256 * kKiB;
     c.checkpointInterval = 0;
-    return c;
+    return stackConfig(c);
 }
 
 /**
  * Device + engine built through the backend-independent factory;
  * crash() models a full power cut (host RAM gone, device SPOR).
  */
-struct ConformanceRig
+struct ConformanceRig : TestStack<StorageEngine>
 {
-    SimContext ctx;
-    EventQueue &eq = ctx.events();
-    std::unique_ptr<Ssd> ssd;
-    std::unique_ptr<StorageEngine> engine;
-    EngineBackend backend;
     /** Last version whose commit callback fired, per key. */
     std::map<std::uint64_t, std::uint32_t> committed;
 
-    explicit ConformanceRig(EngineBackend b) : backend(b)
+    explicit ConformanceRig(EngineBackend b)
+        : TestStack(stackCfg(b), 256)
     {
-        FtlConfig ftl_cfg;
-        ftl_cfg.mappingUnitBytes = 512;
-        ssd = std::make_unique<Ssd>(ctx, smallNand(), ftl_cfg,
-                                    SsdConfig{});
-        engine = presets::makeEngine(ctx, *ssd, engineCfg(b));
-        engine->load([](std::uint64_t) { return 256u; });
         for (std::uint64_t k = 0; k < 200; ++k)
             committed[k] = 1;
-        eq.schedule(ssd->quiesceTick(), [] {});
-        eq.run();
     }
 
     void
@@ -97,22 +71,7 @@ struct ConformanceRig
     }
 
     /** Power cut: host work and engine RAM die, the device SPORs. */
-    void
-    crash()
-    {
-        eq.clear();
-        engine.reset();
-        ssd->suddenPowerLoss();
-        ssd->ftl().checkInvariants();
-    }
-
-    /** Build a fresh engine over the surviving device and recover. */
-    RecoveryInfo
-    recover()
-    {
-        engine = presets::makeEngine(ctx, *ssd, engineCfg(backend));
-        return engine->recover();
-    }
+    void crash() { node.crash(CrashModel::PowerCut); }
 
     /** No committed update may be lost; content must verify. */
     void

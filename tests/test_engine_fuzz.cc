@@ -12,36 +12,27 @@
 #include <map>
 #include <memory>
 
-#include "engine/kv_engine.h"
-#include "sim/event_queue.h"
-#include "sim/sim_context.h"
 #include "sim/rng.h"
-#include "ssd/ssd.h"
+#include "test_stack.h"
 
 namespace checkin {
 namespace {
 
-NandConfig
-fuzzNand()
+ExperimentConfig
+stackCfg(CheckpointMode mode)
 {
-    NandConfig c;
-    c.channels = 2;
-    c.diesPerChannel = 2;
-    c.blocksPerPlane = 24;
-    c.pagesPerBlock = 24;
-    return c;
-}
-
-EngineConfig
-engineCfg(CheckpointMode mode)
-{
-    EngineConfig c;
-    c.mode = mode;
-    c.recordCount = 200;
-    c.maxValueBytes = 2048;
-    c.journalHalfBytes = 1 * kMiB;
-    c.checkpointJournalBytes = 512 * kKiB;
-    c.checkpointInterval = 0;
+    ExperimentConfig c;
+    c.nand.channels = 2;
+    c.nand.diesPerChannel = 2;
+    c.nand.blocksPerPlane = 24;
+    c.nand.pagesPerBlock = 24;
+    c.ftl.exportedRatio = 0.8;
+    c.engine.mode = mode;
+    c.engine.recordCount = 200;
+    c.engine.maxValueBytes = 2048;
+    c.engine.journalHalfBytes = 1 * kMiB;
+    c.engine.checkpointJournalBytes = 512 * kKiB;
+    c.engine.checkpointInterval = 0;
     return c;
 }
 
@@ -63,55 +54,41 @@ class EngineFuzz : public ::testing::TestWithParam<std::uint64_t>
     void
     SetUp() override
     {
-        mode_ = GetParam() % 2 == 0 ? CheckpointMode::CheckIn
-                                    : CheckpointMode::IscC;
-        FtlConfig ftl_cfg;
-        ftl_cfg.exportedRatio = 0.8;
-        ssd_ = std::make_unique<Ssd>(ctx_, fuzzNand(), ftl_cfg,
-                                     SsdConfig{});
-        engine_ = std::make_unique<KvEngine>(ctx_, *ssd_,
-                                             engineCfg(mode_));
-        engine_->load([](std::uint64_t) { return 256u; });
+        const CheckpointMode mode = GetParam() % 2 == 0
+                                        ? CheckpointMode::CheckIn
+                                        : CheckpointMode::IscC;
+        stack_ = std::make_unique<TestStack<>>(stackCfg(mode), 256);
         for (std::uint64_t k = 0; k < 200; ++k)
             oracle_.committed[k] = 1;
-        eq_.schedule(ssd_->quiesceTick(), [] {});
-        eq_.run();
     }
 
     void
     noteCommit(std::uint64_t key)
     {
         oracle_.committed[key] = std::max(
-            oracle_.committed[key], engine_->keymap()[key].version);
+            oracle_.committed[key], engine().keymap()[key].version);
     }
 
     void
     crashAndRecover(bool firmware_loss)
     {
-        eq_.clear();
-        engine_.reset();
-        if (firmware_loss) {
-            ssd_->suddenPowerLoss();
-            ssd_->ftl().checkInvariants();
-        }
-        engine_ = std::make_unique<KvEngine>(ctx_, *ssd_,
-                                             engineCfg(mode_));
-        engine_->recover();
+        stack_->node.crash(firmware_loss ? CrashModel::PowerCut
+                                         : CrashModel::HostRestart);
+        stack_->recover();
         // Recovery may surface newer (unacked but durable) versions;
         // committed versions are the floor.
         for (auto &[key, version] : oracle_.committed) {
-            ASSERT_GE(engine_->keymap()[key].version, version)
+            ASSERT_GE(engine().keymap()[key].version, version)
                 << "lost committed update for key " << key;
-            version = engine_->keymap()[key].version;
+            version = engine().keymap()[key].version;
         }
-        engine_->verifyAllKeys();
+        engine().verifyAllKeys();
     }
 
-    SimContext ctx_;
-    EventQueue &eq_ = ctx_.events();
-    std::unique_ptr<Ssd> ssd_;
-    std::unique_ptr<KvEngine> engine_;
-    CheckpointMode mode_ = CheckpointMode::CheckIn;
+    KvEngine &engine() { return *stack_->engine; }
+    Ssd &ssd() { return *stack_->ssd; }
+
+    std::unique_ptr<TestStack<>> stack_;
     Oracle oracle_;
 };
 
@@ -126,18 +103,18 @@ TEST_P(EngineFuzz, RandomLifetimeStaysConsistent)
               case 0 ... 39: { // update
                 const auto bytes = std::uint32_t(
                     64 + rng.nextBounded(1984));
-                engine_->update(key, bytes,
+                engine().update(key, bytes,
                                 [this, key](const QueryResult &) {
                                     noteCommit(key);
                                 });
                 break;
               }
               case 40 ... 64: { // get (miss allowed for deleted)
-                engine_->get(key, [](const QueryResult &) {});
+                engine().get(key, [](const QueryResult &) {});
                 break;
               }
               case 65 ... 74: { // rmw
-                engine_->readModifyWrite(
+                engine().readModifyWrite(
                     key, std::uint32_t(128 + rng.nextBounded(512)),
                     [this, key](const QueryResult &) {
                         noteCommit(key);
@@ -145,14 +122,14 @@ TEST_P(EngineFuzz, RandomLifetimeStaysConsistent)
                 break;
               }
               case 75 ... 82: { // scan
-                engine_->scan(key,
+                engine().scan(key,
                               std::uint32_t(
                                   1 + rng.nextBounded(16)),
                               [](const QueryResult &) {});
                 break;
               }
               case 83 ... 89: { // delete
-                engine_->erase(key,
+                engine().erase(key,
                                [this, key](const QueryResult &) {
                                    noteCommit(key);
                                });
@@ -171,7 +148,7 @@ TEST_P(EngineFuzz, RandomLifetimeStaysConsistent)
                     std::vector<std::uint64_t>>();
                 for (const auto &op : batch)
                     keys->push_back(op.key);
-                engine_->updateBatch(
+                engine().updateBatch(
                     std::move(batch),
                     [this, keys](const QueryResult &) {
                         for (std::uint64_t k : *keys)
@@ -180,7 +157,7 @@ TEST_P(EngineFuzz, RandomLifetimeStaysConsistent)
                 break;
               }
               default: { // checkpoint request
-                engine_->requestCheckpoint();
+                engine().requestCheckpoint();
                 break;
               }
             }
@@ -188,26 +165,26 @@ TEST_P(EngineFuzz, RandomLifetimeStaysConsistent)
         // Randomly drain partially or fully, then maybe crash.
         const std::uint64_t drain = rng.nextBounded(3);
         if (drain == 0) {
-            eq_.run();
+            stack_->eq.run();
         } else {
             const int steps = int(rng.nextBounded(400));
-            for (int s = 0; s < steps && eq_.step(); ++s) {
+            for (int s = 0; s < steps && stack_->eq.step(); ++s) {
             }
         }
         if (rng.nextBounded(2) == 0) {
             crashAndRecover(rng.nextBounded(2) == 0);
         } else {
-            eq_.run();
-            engine_->verifyAllKeys();
-            ssd_->ftl().checkInvariants();
+            stack_->eq.run();
+            engine().verifyAllKeys();
+            ssd().ftl().checkInvariants();
         }
     }
     // Final settle + full validation.
-    eq_.run();
-    engine_->requestCheckpoint();
-    eq_.run();
-    engine_->verifyAllKeys();
-    ssd_->ftl().checkInvariants();
+    stack_->eq.run();
+    engine().requestCheckpoint();
+    stack_->eq.run();
+    engine().verifyAllKeys();
+    ssd().ftl().checkInvariants();
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EngineFuzz,

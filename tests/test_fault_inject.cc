@@ -22,6 +22,7 @@
 #include "sim/rng.h"
 #include "sim/sim_context.h"
 #include "ssd/ssd.h"
+#include "test_stack.h"
 
 namespace checkin {
 namespace {
@@ -35,18 +36,6 @@ tinyNand()
     c.planesPerDie = 1;
     c.blocksPerPlane = 4;
     c.pagesPerBlock = 8;
-    return c;
-}
-
-NandConfig
-smallNand()
-{
-    NandConfig c;
-    c.channels = 2;
-    c.diesPerChannel = 1;
-    c.planesPerDie = 1;
-    c.blocksPerPlane = 16;
-    c.pagesPerBlock = 16;
     return c;
 }
 
@@ -337,7 +326,7 @@ TEST(FtlFaults, ProgramFailRetiresBlockAndRescuesData)
     fc.programFailProb = 1.0;
     fc.maxProgramFails = 1;
     FaultPlan plan(fc, 3);
-    NandFlash nand(smallNand());
+    NandFlash nand(deviceNand());
     nand.setFaultPlan(&plan);
     FtlConfig cfg;
     cfg.mappingUnitBytes = 512;
@@ -364,7 +353,7 @@ TEST(FtlFaults, EraseFailDuringGcRetiresVictimBlock)
     fc.eraseFailProb = 1.0;
     fc.maxEraseFails = 1;
     FaultPlan plan(fc, 4);
-    NandFlash nand(smallNand());
+    NandFlash nand(deviceNand());
     nand.setFaultPlan(&plan);
     FtlConfig cfg;
     cfg.mappingUnitBytes = 512;
@@ -407,7 +396,7 @@ struct FaultySsd
         // One-page data cache: reads must really sense the NAND so
         // the injected bit errors reach the front end.
         fcfg.dataCacheBytes = 4096;
-        ssd = std::make_unique<Ssd>(ctx, smallNand(), fcfg,
+        ssd = std::make_unique<Ssd>(ctx, deviceNand(), fcfg,
                                     SsdConfig{});
     }
 

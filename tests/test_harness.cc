@@ -12,6 +12,7 @@
 #include "harness/experiment.h"
 #include "harness/presets.h"
 #include "harness/table.h"
+#include "test_stack.h"
 
 namespace checkin {
 namespace {
@@ -210,6 +211,72 @@ TEST(Presets, ParseCountAcceptsOnlyInRangeDecimals)
                 << "'" << c.text << "'";
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// NodeStack: the one build/load/baseline/crash sequence
+// ---------------------------------------------------------------------
+
+TEST(NodeStack, DeviceTakesTheResolvedMappingUnit)
+{
+    for (const CheckpointMode mode :
+         {CheckpointMode::Baseline, CheckpointMode::IscA,
+          CheckpointMode::IscC, CheckpointMode::CheckIn}) {
+        const ExperimentConfig cfg = stackConfig(mode, 200);
+        SimContext ctx;
+        NodeStack node(ctx, cfg);
+        EXPECT_EQ(node.ssd().ftl().mappingUnitBytes(),
+                  cfg.resolvedMappingUnit())
+            << checkpointModeName(mode);
+        EXPECT_EQ(ctx.faults(), &node.faults());
+    }
+}
+
+TEST(NodeStack, BaselineExcludesTheLoad)
+{
+    TestStack<> s(stackConfig(CheckpointMode::CheckIn, 200), 384);
+    EXPECT_TRUE(s.eq.empty());
+    EXPECT_GT(statOr0(s.node.stats(), "nand.programs"), 0u);
+    for (const auto &[key, delta] : s.node.deltasSinceLoad())
+        EXPECT_EQ(delta, 0u) << key;
+    EXPECT_EQ(s.node.checkpointsSinceLoad().count, 0u);
+
+    for (std::uint64_t k = 0; k < 50; ++k)
+        s.engine->update(k, 512, [](const QueryResult &) {});
+    s.eq.run();
+    s.engine->requestCheckpoint();
+    s.eq.run();
+    const StatMap d = s.node.deltasSinceLoad();
+    EXPECT_EQ(statOr0(d, "engine.updates"), 50u);
+    const CheckpointTally t = s.node.checkpointsSinceLoad();
+    EXPECT_EQ(t.count, 1u);
+    EXPECT_GT(t.avgMs, 0.0);
+    EXPECT_EQ(t.avgMs, t.maxMs);
+}
+
+TEST(NodeStack, CrashModelsDifferOnlyInTheDevice)
+{
+    TestStack<> s(stackConfig(CheckpointMode::CheckIn, 200), 256);
+    for (std::uint64_t k = 0; k < 50; ++k)
+        s.engine->update(k, 512, [](const QueryResult &) {});
+    s.eq.run();
+
+    // A host restart leaves the device alone: no SPOR report.
+    const Ftl::RebuildReport host = s.node.crash(CrashModel::HostRestart);
+    EXPECT_EQ(host.slotsRecovered, 0u);
+    EXPECT_EQ(s.ssd->stats().get("ssd.powerLosses"), 0u);
+    EXPECT_EQ(s.recover().catalogKeys, 200u);
+    EXPECT_EQ(s.engine->keymap()[7].version, 2u);
+
+    // A power cut rebuilds the device mapping from OOB first.
+    s.engine->update(7, 256, [](const QueryResult &) {});
+    s.eq.run();
+    const Ftl::RebuildReport cut = s.node.crash(CrashModel::PowerCut);
+    EXPECT_GT(cut.slotsRecovered, 0u);
+    EXPECT_EQ(s.ssd->stats().get("ssd.powerLosses"), 1u);
+    s.recover();
+    EXPECT_EQ(s.engine->keymap()[7].version, 3u);
+    EXPECT_EQ(s.engine->verifyAllKeys(), 200u);
 }
 
 } // namespace

@@ -7,13 +7,8 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
-
 #include "engine/host_cache.h"
-#include "engine/kv_engine.h"
-#include "sim/event_queue.h"
-#include "sim/sim_context.h"
-#include "ssd/ssd.h"
+#include "test_stack.h"
 
 namespace checkin {
 namespace {
@@ -86,31 +81,22 @@ TEST(HostCache, EraseDropsEntry)
 // Engine integration
 // ---------------------------------------------------------------------
 
-struct Stack
+ExperimentConfig
+stackCfg(std::uint64_t cache_bytes)
 {
-    SimContext ctx;
-    EventQueue &eq = ctx.events();
-    std::unique_ptr<Ssd> ssd;
-    std::unique_ptr<KvEngine> engine;
+    EngineConfig ecfg;
+    ecfg.recordCount = 300;
+    ecfg.journalHalfBytes = 2 * kMiB;
+    ecfg.checkpointInterval = 0;
+    ecfg.hostCacheBytes = cache_bytes;
+    return stackConfig(ecfg);
+}
 
+struct Stack : TestStack<>
+{
     explicit Stack(std::uint64_t cache_bytes)
+        : TestStack(stackCfg(cache_bytes), 256)
     {
-        NandConfig nand;
-        nand.channels = 2;
-        nand.diesPerChannel = 2;
-        nand.blocksPerPlane = 32;
-        nand.pagesPerBlock = 32;
-        FtlConfig ftl_cfg;
-        ssd = std::make_unique<Ssd>(ctx, nand, ftl_cfg, SsdConfig{});
-        EngineConfig ecfg;
-        ecfg.recordCount = 300;
-        ecfg.journalHalfBytes = 2 * kMiB;
-        ecfg.checkpointInterval = 0;
-        ecfg.hostCacheBytes = cache_bytes;
-        engine = std::make_unique<KvEngine>(ctx, *ssd, ecfg);
-        engine->load([](std::uint64_t) { return 256u; });
-        eq.schedule(ssd->quiesceTick(), [] {});
-        eq.run();
     }
 };
 

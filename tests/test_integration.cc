@@ -154,6 +154,33 @@ TEST(Harness, ResolvedMappingUnitFollowsMode)
     EXPECT_EQ(c.resolvedMappingUnit(), 512u);
     c.mappingUnitOverride = 2048;
     EXPECT_EQ(c.resolvedMappingUnit(), 2048u);
+
+    // The paper's pairing over all five modes: page mapping for the
+    // baseline and the two early ISC designs, 512 B sub-page mapping
+    // for ISC-C and Check-In. The LSM backend journals and remaps at
+    // sector granularity whatever mode tags the config.
+    struct Case
+    {
+        CheckpointMode mode;
+        std::uint32_t checkinUnit;
+    };
+    const std::uint32_t page = c.nand.pageBytes;
+    for (const Case k : {Case{CheckpointMode::Baseline, page},
+                         Case{CheckpointMode::IscA, page},
+                         Case{CheckpointMode::IscB, page},
+                         Case{CheckpointMode::IscC, 512},
+                         Case{CheckpointMode::CheckIn, 512}}) {
+        ExperimentConfig m;
+        m.engine.mode = k.mode;
+        m.engine.backend = EngineBackend::CheckIn;
+        EXPECT_EQ(m.resolvedMappingUnit(), k.checkinUnit)
+            << checkpointModeName(k.mode);
+        m.engine.backend = EngineBackend::Lsm;
+        EXPECT_EQ(m.resolvedMappingUnit(), 512u)
+            << "lsm " << checkpointModeName(k.mode);
+        m.mappingUnitOverride = 1024;
+        EXPECT_EQ(m.resolvedMappingUnit(), 1024u);
+    }
 }
 
 } // namespace

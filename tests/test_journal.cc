@@ -9,10 +9,7 @@
 #include <map>
 
 #include "engine/journal.h"
-#include "engine/kv_engine.h"
-#include "sim/event_queue.h"
-#include "sim/sim_context.h"
-#include "ssd/ssd.h"
+#include "test_stack.h"
 
 namespace checkin {
 namespace {
@@ -129,46 +126,17 @@ TEST(FormatAlignedProperty, FullRecordsAreUnitMultiples)
 // JournalManager behaviour through a real engine stack
 // ---------------------------------------------------------------------
 
-NandConfig
-smallNand()
+struct Stack : TestStack<>
 {
-    NandConfig c;
-    c.channels = 2;
-    c.diesPerChannel = 2;
-    c.blocksPerPlane = 32;
-    c.pagesPerBlock = 32;
-    return c;
-}
-
-struct Stack
-{
-    SimContext ctx;
-    EventQueue &eq = ctx.events();
-    std::unique_ptr<Ssd> ssd;
-    std::unique_ptr<KvEngine> engine;
-
-    explicit Stack(CheckpointMode mode, std::uint32_t unit_bytes)
+    explicit Stack(CheckpointMode mode)
+        : TestStack(stackConfig(mode, 500, 1536 * kKiB), 256)
     {
-        FtlConfig ftl_cfg;
-        ftl_cfg.mappingUnitBytes = unit_bytes;
-        ssd = std::make_unique<Ssd>(ctx, smallNand(), ftl_cfg,
-                                    SsdConfig{});
-        EngineConfig ecfg;
-        ecfg.mode = mode;
-        ecfg.recordCount = 500;
-        ecfg.journalHalfBytes = 2 * kMiB;
-        ecfg.checkpointJournalBytes = 1536 * kKiB;
-        ecfg.checkpointInterval = 0; // manual checkpoints only
-        engine = std::make_unique<KvEngine>(ctx, *ssd, ecfg);
-        engine->load([](std::uint64_t) { return 256u; });
-        eq.schedule(ssd->quiesceTick(), [] {});
-        eq.run();
     }
 };
 
 TEST(JournalManager, CommitsUpdateJmtAndKeymap)
 {
-    Stack s(CheckpointMode::CheckIn, 512);
+    Stack s(CheckpointMode::CheckIn);
     int committed = 0;
     for (int i = 0; i < 10; ++i) {
         s.engine->update(std::uint64_t(i), 256,
@@ -189,7 +157,7 @@ TEST(JournalManager, CommitsUpdateJmtAndKeymap)
 
 TEST(JournalManager, SameKeyKeepsLatestVersionInJmt)
 {
-    Stack s(CheckpointMode::CheckIn, 512);
+    Stack s(CheckpointMode::CheckIn);
     for (int i = 0; i < 5; ++i)
         s.engine->update(7, 200 + i, [](const QueryResult &) {});
     s.eq.run();
@@ -200,7 +168,7 @@ TEST(JournalManager, SameKeyKeepsLatestVersionInJmt)
 
 TEST(JournalManager, AlignedModeMergesPartials)
 {
-    Stack s(CheckpointMode::CheckIn, 512);
+    Stack s(CheckpointMode::CheckIn);
     // Many 128 B updates in one burst: they arrive while the first
     // flush is in flight and get group-committed + merged.
     for (int i = 0; i < 64; ++i)
@@ -213,7 +181,7 @@ TEST(JournalManager, AlignedModeMergesPartials)
 
 TEST(JournalManager, ConventionalModePacksChunks)
 {
-    Stack s(CheckpointMode::Baseline, 4096);
+    Stack s(CheckpointMode::Baseline);
     for (int i = 0; i < 16; ++i)
         s.engine->update(std::uint64_t(i), 384,
                          [](const QueryResult &) {});
@@ -227,7 +195,7 @@ TEST(JournalManager, ConventionalModePacksChunks)
 
 TEST(JournalManager, AlignedStoresAtLeastPayload)
 {
-    Stack s(CheckpointMode::CheckIn, 512);
+    Stack s(CheckpointMode::CheckIn);
     for (int i = 0; i < 32; ++i)
         s.engine->update(std::uint64_t(i), 300,
                          [](const QueryResult &) {});
@@ -244,7 +212,7 @@ TEST(JournalManager, AlignedStoresAtLeastPayload)
 
 TEST(JournalManager, CheckpointSwitchesHalvesAndFreesLogs)
 {
-    Stack s(CheckpointMode::CheckIn, 512);
+    Stack s(CheckpointMode::CheckIn);
     for (int i = 0; i < 20; ++i)
         s.engine->update(std::uint64_t(i), 512,
                          [](const QueryResult &) {});
@@ -267,7 +235,7 @@ TEST(JournalManager, CheckpointSwitchesHalvesAndFreesLogs)
 
 TEST(JournalManager, UpdatesDuringCheckpointLandInNewHalf)
 {
-    Stack s(CheckpointMode::Baseline, 4096);
+    Stack s(CheckpointMode::Baseline);
     for (int i = 0; i < 20; ++i)
         s.engine->update(std::uint64_t(i), 512,
                          [](const QueryResult &) {});
@@ -288,7 +256,7 @@ TEST(JournalManager, UpdatesDuringCheckpointLandInNewHalf)
 
 TEST(JournalManager, SpacePressureTriggersCheckpointAndRecovers)
 {
-    Stack s(CheckpointMode::CheckIn, 512);
+    Stack s(CheckpointMode::CheckIn);
     // Write far more than one half can hold; the engine must cycle
     // checkpoints to keep the journal usable.
     int committed = 0;

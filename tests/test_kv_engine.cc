@@ -6,57 +6,27 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
-
-#include "engine/kv_engine.h"
-#include "sim/event_queue.h"
-#include "sim/sim_context.h"
 #include "sim/rng.h"
-#include "ssd/ssd.h"
+#include "test_stack.h"
 
 namespace checkin {
 namespace {
 
-NandConfig
-smallNand()
+ExperimentConfig
+stackCfg(CheckpointMode mode, Tick interval, bool lock)
 {
-    NandConfig c;
-    c.channels = 2;
-    c.diesPerChannel = 2;
-    c.blocksPerPlane = 32;
-    c.pagesPerBlock = 32;
+    ExperimentConfig c = stackConfig(mode, 300, 256 * kKiB);
+    c.engine.checkpointInterval = interval;
+    c.engine.lockQueriesDuringCheckpoint = lock;
     return c;
 }
 
-struct Stack
+struct Stack : TestStack<>
 {
-    SimContext ctx;
-    EventQueue &eq = ctx.events();
-    std::unique_ptr<Ssd> ssd;
-    std::unique_ptr<KvEngine> engine;
-
     explicit Stack(CheckpointMode mode = CheckpointMode::CheckIn,
                    Tick interval = 0, bool lock = false)
+        : TestStack(stackCfg(mode, interval, lock), 256)
     {
-        FtlConfig ftl_cfg;
-        ftl_cfg.mappingUnitBytes =
-            mode == CheckpointMode::CheckIn ||
-                    mode == CheckpointMode::IscC
-                ? 512
-                : 4096;
-        ssd = std::make_unique<Ssd>(ctx, smallNand(), ftl_cfg,
-                                    SsdConfig{});
-        EngineConfig ecfg;
-        ecfg.mode = mode;
-        ecfg.recordCount = 300;
-        ecfg.journalHalfBytes = 2 * kMiB;
-        ecfg.checkpointJournalBytes = 256 * kKiB;
-        ecfg.checkpointInterval = interval;
-        ecfg.lockQueriesDuringCheckpoint = lock;
-        engine = std::make_unique<KvEngine>(ctx, *ssd, ecfg);
-        engine->load([](std::uint64_t) { return 256u; });
-        eq.schedule(ssd->quiesceTick(), [] {});
-        eq.run();
     }
 };
 

@@ -8,74 +8,25 @@
 #include <gtest/gtest.h>
 
 #include <map>
-#include <memory>
 
-#include "engine/kv_engine.h"
-#include "sim/event_queue.h"
-#include "sim/sim_context.h"
 #include "sim/rng.h"
-#include "ssd/ssd.h"
+#include "test_stack.h"
 #include "workload/ycsb.h"
 
 namespace checkin {
 namespace {
 
-NandConfig
-smallNand()
-{
-    NandConfig c;
-    c.channels = 2;
-    c.diesPerChannel = 2;
-    c.blocksPerPlane = 32;
-    c.pagesPerBlock = 32;
-    return c;
-}
-
-EngineConfig
-engineCfg(CheckpointMode mode)
-{
-    EngineConfig c;
-    c.mode = mode;
-    c.recordCount = 300;
-    c.journalHalfBytes = 2 * kMiB;
-    c.checkpointJournalBytes = 512 * kKiB;
-    c.checkpointInterval = 0;
-    return c;
-}
-
-std::uint32_t
-unitFor(CheckpointMode mode)
-{
-    return mode == CheckpointMode::Baseline ||
-                   mode == CheckpointMode::IscA ||
-                   mode == CheckpointMode::IscB
-               ? 4096
-               : 512;
-}
-
 /** Device + crashed/recovered engines sharing one event queue. */
-struct CrashRig
+struct CrashRig : TestStack<>
 {
-    SimContext ctx;
-    EventQueue &eq = ctx.events();
-    std::unique_ptr<Ssd> ssd;
-    std::unique_ptr<KvEngine> engine;
-    CheckpointMode mode;
     /** Last version whose commit callback fired, per key. */
     std::map<std::uint64_t, std::uint32_t> committed;
 
-    explicit CrashRig(CheckpointMode m) : mode(m)
+    explicit CrashRig(CheckpointMode m)
+        : TestStack(stackConfig(m, 300, 512 * kKiB), 256)
     {
-        FtlConfig ftl_cfg;
-        ftl_cfg.mappingUnitBytes = unitFor(m);
-        ssd = std::make_unique<Ssd>(ctx, smallNand(), ftl_cfg,
-                                    SsdConfig{});
-        engine = std::make_unique<KvEngine>(ctx, *ssd, engineCfg(m));
-        engine->load([](std::uint64_t) { return 256u; });
         for (std::uint64_t k = 0; k < 300; ++k)
             committed[k] = 1;
-        eq.schedule(ssd->quiesceTick(), [] {});
-        eq.run();
     }
 
     void
@@ -95,21 +46,8 @@ struct CrashRig
         }
     }
 
-    /** Power cut: drop all host work, discard the engine. */
-    void
-    crash()
-    {
-        eq.clear();
-        engine.reset();
-    }
-
-    /** Build a fresh engine over the surviving device and recover. */
-    RecoveryInfo
-    recover()
-    {
-        engine = std::make_unique<KvEngine>(ctx, *ssd, engineCfg(mode));
-        return engine->recover();
-    }
+    /** Host crash: all host work and the engine's RAM are lost. */
+    void crash() { node.crash(CrashModel::HostRestart); }
 
     /** No committed update may be lost; content must verify. */
     void

@@ -7,28 +7,13 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <sstream>
 
-#include "engine/kv_engine.h"
-#include "sim/event_queue.h"
-#include "sim/sim_context.h"
-#include "ssd/ssd.h"
+#include "test_stack.h"
 #include "workload/trace.h"
 
 namespace checkin {
 namespace {
-
-NandConfig
-smallNand()
-{
-    NandConfig c;
-    c.channels = 2;
-    c.diesPerChannel = 2;
-    c.blocksPerPlane = 32;
-    c.pagesPerBlock = 32;
-    return c;
-}
 
 TEST(Trace, SaveLoadRoundTrip)
 {
@@ -81,30 +66,11 @@ TEST(Trace, GenerateIsDeterministic)
                 Trace::generate(spec, 300, 200));
 }
 
-struct Stack
+struct Stack : TestStack<>
 {
-    SimContext ctx;
-    EventQueue &eq = ctx.events();
-    std::unique_ptr<Ssd> ssd;
-    std::unique_ptr<KvEngine> engine;
-
     explicit Stack(CheckpointMode mode)
+        : TestStack(stackConfig(mode), 256)
     {
-        FtlConfig ftl_cfg;
-        ftl_cfg.mappingUnitBytes =
-            mode == CheckpointMode::Baseline ? 4096 : 512;
-        ssd = std::make_unique<Ssd>(ctx, smallNand(), ftl_cfg,
-                                    SsdConfig{});
-        EngineConfig ecfg;
-        ecfg.mode = mode;
-        ecfg.recordCount = 300;
-        ecfg.journalHalfBytes = 2 * kMiB;
-        ecfg.checkpointJournalBytes = kMiB;
-        ecfg.checkpointInterval = 0;
-        engine = std::make_unique<KvEngine>(ctx, *ssd, ecfg);
-        engine->load([](std::uint64_t) { return 256u; });
-        eq.schedule(ssd->quiesceTick(), [] {});
-        eq.run();
     }
 
     /** Final committed version per key. */

@@ -6,57 +6,17 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
-
-#include "engine/kv_engine.h"
-#include "sim/event_queue.h"
-#include "sim/sim_context.h"
 #include "sim/rng.h"
 #include "sim/timeseries.h"
-#include "ssd/ssd.h"
+#include "test_stack.h"
 
 namespace checkin {
 namespace {
 
-NandConfig
-smallNand()
+struct Stack : TestStack<>
 {
-    NandConfig c;
-    c.channels = 2;
-    c.diesPerChannel = 2;
-    c.blocksPerPlane = 32;
-    c.pagesPerBlock = 32;
-    return c;
-}
-
-EngineConfig
-engineCfg()
-{
-    EngineConfig c;
-    c.mode = CheckpointMode::CheckIn;
-    c.recordCount = 300;
-    c.journalHalfBytes = 2 * kMiB;
-    c.checkpointJournalBytes = kMiB;
-    c.checkpointInterval = 0;
-    return c;
-}
-
-struct Stack
-{
-    SimContext ctx;
-    EventQueue &eq = ctx.events();
-    std::unique_ptr<Ssd> ssd;
-    std::unique_ptr<KvEngine> engine;
-
-    Stack()
+    Stack() : TestStack(stackConfig(CheckpointMode::CheckIn), 256)
     {
-        FtlConfig ftl_cfg;
-        ssd = std::make_unique<Ssd>(ctx, smallNand(), ftl_cfg,
-                                    SsdConfig{});
-        engine = std::make_unique<KvEngine>(ctx, *ssd, engineCfg());
-        engine->load([](std::uint64_t) { return 256u; });
-        eq.schedule(ssd->quiesceTick(), [] {});
-        eq.run();
     }
 };
 
@@ -96,11 +56,8 @@ TEST(Transactions, AtomicAcrossCrash)
         }
         for (int i = 0; i < steps && s.eq.step(); ++i) {
         }
-        s.eq.clear();
-        s.engine.reset();
-        s.engine = std::make_unique<KvEngine>(s.ctx, *s.ssd,
-                                              engineCfg());
-        s.engine->recover();
+        s.node.crash(CrashModel::HostRestart);
+        s.recover();
         for (int t = 0; t < 3; ++t) {
             const std::uint32_t v0 =
                 s.engine->keymap()[std::uint64_t(t) * 10].version;

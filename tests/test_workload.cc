@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <stdexcept>
 
 #include "harness/experiment.h"
 #include "harness/presets.h"
@@ -160,6 +161,20 @@ TEST(ClientStats, CheckpointWindowsPartitionAllOps)
     // Sums partition along with the counts.
     EXPECT_EQ(c.all.sum(), c.duringCheckpoint.sum() +
                                c.outsideCheckpoint.sum());
+}
+
+TEST(WorkloadGenerator, RejectsEmptyKeySpace)
+{
+    for (WorkloadSpec spec :
+         {WorkloadSpec::a(), WorkloadSpec::d(), WorkloadSpec::wo()}) {
+        for (const Distribution d :
+             {Distribution::Uniform, Distribution::Zipfian,
+              Distribution::Latest}) {
+            spec.distribution = d;
+            EXPECT_THROW(WorkloadGenerator(spec, 0),
+                         std::invalid_argument);
+        }
+    }
 }
 
 TEST(WorkloadGenerator, InitialSizeDeterministic)
