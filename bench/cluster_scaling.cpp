@@ -11,12 +11,13 @@
  *
  * Writes BENCH_cluster.json into $CHECKIN_BENCH_DIR (default: the
  * working directory). `--quick` shrinks the per-run workload for CI;
- * the shard-count axis {1, 4, 16} is kept in both modes.
+ * the shard-count axis {1, 4, 16} is kept in both modes. `--jobs N`
+ * sets the synchronizer thread count (default: CHECKIN_JOBS, else
+ * the core count); results are identical for any N.
  */
 
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -24,6 +25,7 @@
 #include <vector>
 
 #include "cluster/cluster.h"
+#include "harness/sweep.h"
 #include "harness/table.h"
 #include "obs/json.h"
 
@@ -107,10 +109,7 @@ int
 main(int argc, char **argv)
 {
     bool quick = false;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--quick") == 0)
-            quick = true;
-    }
+    const SweepOptions opts = sweepOptionsFromArgs(argc, argv, &quick);
 
     std::printf("cluster scaling — events/sec and p99.9 vs shard "
                 "count vs checkpoint coordination%s\n",
@@ -124,7 +123,7 @@ main(int argc, char **argv)
             ClusterConfig cfg = presets::cluster();
             cfg.shardCount = shards;
             cfg.coordination = policy;
-            cfg.syncThreads = 0; // resolve via CHECKIN_JOBS/cores
+            cfg.syncThreads = opts.jobs; // 0: CHECKIN_JOBS/cores
             cfg.shard.engine.recordCount = quick ? 500 : 2000;
             // The cluster-total op count is fixed across shard
             // counts so rows compare the same client workload.

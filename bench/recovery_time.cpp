@@ -57,8 +57,9 @@ measure(CheckpointMode mode, std::uint64_t updates)
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    sweepOptionsFromArgs(argc, argv); // strict; --jobs is moot here
     printConfigOnce(presets::paper());
     printHeader("Recovery (extension)",
                 "crash-recovery time vs un-checkpointed updates");

@@ -80,8 +80,9 @@ runTimeline(CheckpointMode mode)
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    sweepOptionsFromArgs(argc, argv); // strict; --jobs is moot here
     printConfigOnce(presets::paper());
     runTimeline(CheckpointMode::Baseline);
     runTimeline(CheckpointMode::CheckIn);

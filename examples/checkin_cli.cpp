@@ -819,7 +819,7 @@ optraceReplay(const std::vector<std::string> &a)
     engine.start();
 
     const Tick start = eq.now();
-    TraceReplayer replay(ctx, engine, trace, threads);
+    ClientPool replay(ctx, engine, trace, threads);
     replay.start();
     while (!replay.done()) {
         if (!eq.step()) {
@@ -831,10 +831,10 @@ optraceReplay(const std::vector<std::string> &a)
     engine.verifyAllKeys();
     std::printf("replayed %llu ops as %s in %.3f ms simulated "
                 "(%.0f kops/s), %zu checkpoints\n",
-                (unsigned long long)replay.completed(),
+                (unsigned long long)replay.stats().opsCompleted,
                 checkpointModeName(mode),
                 double(span) / double(kMsec),
-                double(replay.completed()) * double(kSec) /
+                double(replay.stats().opsCompleted) * double(kSec) /
                     double(span) / 1e3,
                 engine.checkpointDurations().size());
     return 0;

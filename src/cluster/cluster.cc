@@ -125,9 +125,7 @@ runCluster(const ClusterConfig &cfg)
         r.shards.push_back(s->summary(tail_q));
         r.totalEvents += r.shards.back().events;
     }
-    r.simSpan = r.router.lastCompletion > r.router.firstIssue
-                    ? r.router.lastCompletion - r.router.firstIssue
-                    : 0;
+    r.simSpan = r.router.span();
     if (r.simSpan > 0) {
         r.throughputOps = double(r.router.opsCompleted) /
                           (double(r.simSpan) / double(kSec));

@@ -5,43 +5,41 @@
 
 namespace checkin {
 
+namespace {
+
+/** @p t without tenants and flash crowd: single-node features
+ *  (docs/TRAFFIC.md) the router's clients do not draw. */
+TrafficSpec
+routerTraffic(TrafficSpec t)
+{
+    t.tenants.clear();
+    t.flashCrowdDuration = 0;
+    return t;
+}
+
+} // namespace
+
 RouterNode::RouterNode(std::uint64_t seed, const ClusterConfig &cfg,
                        const Placement &placement)
     : ClusterNode(seed, "router"),
       cfg_(cfg),
       placement_(placement),
-      gen_(cfg.workload, cfg.totalRecords()),
-      opTarget_(cfg.workload.operationCount),
-      clients_(std::max<std::uint32_t>(1, cfg.clients)),
-      issuedAt_(clients_, 0)
+      pool_(ctx_,
+            [this](const WorkloadGenerator::Op &op, std::uint32_t c) {
+                routeOp(op, c);
+            },
+            &stats_, cfg.totalRecords(), cfg.workload,
+            routerTraffic(cfg.traffic), cfg.clients)
 {
     stats_.routedOps.assign(cfg.shardCount, 0);
     stats_.routedBytes.assign(cfg.shardCount, 0);
-    if (cfg_.traffic.mode == LoopMode::Open) {
-        arrivals_.emplace(
-            cfg_.traffic,
-            ctx_.deriveSeed(TrafficSpec::kArrivalStream));
-    }
 }
 
 void
 RouterNode::start(Tick t0)
 {
     assert(t0 >= ctx_.now());
-    ctx_.events().schedule(t0, [this] {
-        stats_.firstIssue = ctx_.now();
-        if (cfg_.traffic.mode == LoopMode::Open) {
-            freeSlots_.reserve(clients_);
-            for (std::uint32_t c = clients_; c > 0; --c)
-                freeSlots_.push_back(c - 1);
-            scheduleNextArrival();
-            return;
-        }
-        for (std::uint32_t c = 0;
-             c < clients_ && stats_.opsIssued < opTarget_; ++c) {
-            issueNext(c);
-        }
-    });
+    ctx_.events().schedule(t0, [this] { pool_.start(); });
 
     if (cfg_.coordination == CkptCoordination::Independent)
         return;
@@ -109,82 +107,16 @@ RouterNode::routeOp(const WorkloadGenerator::Op &op,
 }
 
 void
-RouterNode::issueNext(std::uint32_t client)
-{
-    if (stats_.opsIssued >= opTarget_)
-        return;
-    const WorkloadGenerator::Op op = gen_.next();
-    issuedAt_[client] = ctx_.now();
-    routeOp(op, client);
-}
-
-void
-RouterNode::scheduleNextArrival()
-{
-    if (stats_.opsOffered >= opTarget_)
-        return;
-    const Tick gap = arrivals_->nextInterarrival(ctx_.now());
-    ctx_.events().scheduleAfter(gap, [this] { onArrival(); });
-}
-
-void
-RouterNode::onArrival()
-{
-    const Tick arrival = ctx_.now();
-    ++stats_.opsOffered;
-    stats_.lastArrival = arrival;
-    queue_.push_back(PendingOp{gen_.next(), arrival});
-    scheduleNextArrival();
-    if (!freeSlots_.empty()) {
-        const std::uint32_t slot = freeSlots_.back();
-        freeSlots_.pop_back();
-        dispatch(slot);
-    }
-}
-
-void
-RouterNode::dispatch(std::uint32_t slot)
-{
-    assert(!queue_.empty());
-    const PendingOp p = queue_.front();
-    queue_.pop_front();
-    const Tick issued = ctx_.now();
-    stats_.queueDelay.record(issued > p.arrival ? issued - p.arrival
-                                                : 0);
-    // Latency is measured from arrival: queue wait included.
-    issuedAt_[slot] = p.arrival;
-    routeOp(p.op, slot);
-}
-
-void
 RouterNode::onMessage(const Message &m)
 {
     assert(m.kind == Message::Kind::Response &&
            "the router only receives responses");
-    const Tick now = ctx_.now();
-    const Tick issued = issuedAt_[m.client];
-    const Tick latency = now > issued ? now - issued : 0;
-    stats_.all.record(latency);
-    const bool is_read = m.op == WorkloadGenerator::OpType::Read ||
-                         m.op == WorkloadGenerator::OpType::Scan;
-    if (is_read)
-        stats_.reads.record(latency);
-    else
-        stats_.writes.record(latency);
-    if (m.duringCheckpoint)
-        stats_.duringCheckpoint.record(latency);
-    else
-        stats_.outsideCheckpoint.record(latency);
-    ++stats_.opsCompleted;
-    stats_.lastCompletion = std::max(stats_.lastCompletion, now);
-    if (cfg_.traffic.mode == LoopMode::Open) {
-        if (!queue_.empty())
-            dispatch(m.client);
-        else
-            freeSlots_.push_back(m.client);
-        return;
-    }
-    issueNext(m.client);
+    QueryResult res;
+    res.done = ctx_.now();
+    res.duringCheckpoint = m.duringCheckpoint;
+    res.found = m.found;
+    res.scanned = m.scanned;
+    pool_.complete(m.client, res);
 }
 
 } // namespace checkin

@@ -4,28 +4,9 @@
 #include <cassert>
 
 #include "sim/event_queue.h"
-
+#include "workload/client.h"
 
 namespace checkin {
-
-namespace {
-
-obs::OpClass
-opAttrClass(WorkloadGenerator::OpType type)
-{
-    switch (type) {
-      case WorkloadGenerator::OpType::Read: return obs::OpClass::Read;
-      case WorkloadGenerator::OpType::Update:
-        return obs::OpClass::Update;
-      case WorkloadGenerator::OpType::Rmw: return obs::OpClass::Rmw;
-      case WorkloadGenerator::OpType::Scan: return obs::OpClass::Scan;
-      case WorkloadGenerator::OpType::Delete:
-        return obs::OpClass::Delete;
-    }
-    return obs::OpClass::Read;
-}
-
-} // namespace
 
 ShardNode::ShardNode(std::uint32_t shard, std::uint64_t seed,
                      const ExperimentConfig &cfg,
@@ -106,28 +87,11 @@ ShardNode::execute(const Message &m)
         freeSlots_.pop_back();
     }
     inFlight_[slot] = InFlight{m, arrival, tok};
-    auto cb = [this, slot](const QueryResult &res) {
-        complete(slot, res);
-    };
     obs::AttrOpScope attr_scope(tok);
-    StorageEngine &engine = stack_->engine();
-    switch (m.op) {
-      case WorkloadGenerator::OpType::Read:
-        engine.get(m.key, std::move(cb));
-        break;
-      case WorkloadGenerator::OpType::Update:
-        engine.update(m.key, m.valueBytes, std::move(cb));
-        break;
-      case WorkloadGenerator::OpType::Rmw:
-        engine.readModifyWrite(m.key, m.valueBytes, std::move(cb));
-        break;
-      case WorkloadGenerator::OpType::Scan:
-        engine.scan(m.key, m.scanLength, std::move(cb));
-        break;
-      case WorkloadGenerator::OpType::Delete:
-        engine.erase(m.key, std::move(cb));
-        break;
-    }
+    issueOp(stack_->engine(), {m.op, m.key, m.valueBytes, m.scanLength},
+            [this, slot](const QueryResult &res) {
+                complete(slot, res);
+            });
 }
 
 void

@@ -60,6 +60,9 @@ class LatencyHistogram
     /** Drop all samples. */
     void reset();
 
+    /** Same samples, bucket for bucket. */
+    bool operator==(const LatencyHistogram &) const = default;
+
   private:
     static std::size_t bucketIndex(std::uint64_t value);
     static std::uint64_t bucketUpperBound(std::size_t index);

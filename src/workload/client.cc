@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
 #include <string>
 
 #include "obs/attribution.h"
@@ -25,6 +26,8 @@ opTraceName(WorkloadGenerator::OpType type)
     return "op.unknown";
 }
 
+} // namespace
+
 obs::OpClass
 opAttrClass(WorkloadGenerator::OpType type)
 {
@@ -40,7 +43,28 @@ opAttrClass(WorkloadGenerator::OpType type)
     return obs::OpClass::Read;
 }
 
-} // namespace
+void
+issueOp(StorageEngine &engine, const WorkloadGenerator::Op &op,
+        StorageEngine::QueryCb cb)
+{
+    switch (op.type) {
+      case WorkloadGenerator::OpType::Read:
+        engine.get(op.key, std::move(cb));
+        break;
+      case WorkloadGenerator::OpType::Update:
+        engine.update(op.key, op.valueBytes, std::move(cb));
+        break;
+      case WorkloadGenerator::OpType::Rmw:
+        engine.readModifyWrite(op.key, op.valueBytes, std::move(cb));
+        break;
+      case WorkloadGenerator::OpType::Scan:
+        engine.scan(op.key, op.scanLength, std::move(cb));
+        break;
+      case WorkloadGenerator::OpType::Delete:
+        engine.erase(op.key, std::move(cb));
+        break;
+    }
+}
 
 ClientPool::ClientPool(SimContext &ctx, StorageEngine &engine,
                        const WorkloadSpec &spec,
@@ -53,14 +77,54 @@ ClientPool::ClientPool(SimContext &ctx, StorageEngine &engine,
                        const WorkloadSpec &spec,
                        const TrafficSpec &traffic,
                        std::uint32_t threads)
-    : eq_(ctx.events()),
-      engine_(engine),
-      gen_(spec, engine.config().recordCount),
-      traffic_(traffic),
-      opTarget_(spec.operationCount),
-      threads_(threads),
-      inFlight_(threads)
+    : ClientPool(ctx, engineSink(engine), nullptr,
+                 engine.config().recordCount, spec, traffic, threads)
 {
+}
+
+ClientPool::ClientPool(SimContext &ctx, StorageEngine &engine,
+                       const Trace &trace, std::uint32_t threads)
+    : ClientPool(ctx, engineSink(engine), nullptr, TrafficSpec{},
+                 trace.size(), threads, std::nullopt)
+{
+    trace_ = &trace.ops();
+}
+
+ClientPool::ClientPool(SimContext &ctx, Sink sink, ClientStats *stats,
+                       std::uint64_t key_count,
+                       const WorkloadSpec &spec,
+                       const TrafficSpec &traffic,
+                       std::uint32_t slots)
+    : ClientPool(ctx, std::move(sink), stats, traffic,
+                 spec.operationCount, slots,
+                 WorkloadGenerator(spec, key_count))
+{
+    if (traffic_.mode == LoopMode::Open && traffic_.hasFlashCrowd()) {
+        WorkloadSpec crowd = spec;
+        crowd.distribution = Distribution::Latest;
+        crowd.seed = ctx.deriveSeed(TrafficSpec::kFlashKeyStream);
+        flashGen_ = std::make_unique<WorkloadGenerator>(crowd, key_count);
+    }
+}
+
+ClientPool::ClientPool(SimContext &ctx, Sink sink, ClientStats *stats,
+                       const TrafficSpec &traffic,
+                       std::uint64_t op_target, std::uint32_t threads,
+                       std::optional<WorkloadGenerator> gen)
+    : eq_(ctx.events()),
+      sink_(std::move(sink)),
+      stats_(stats != nullptr ? *stats : ownStats_.emplace()),
+      traffic_(traffic),
+      opTarget_(op_target),
+      threads_(threads),
+      inFlight_(threads),
+      gen_(std::move(gen))
+{
+    if (threads_ == 0 && opTarget_ > 0)
+        throw std::invalid_argument(
+            "client pool needs at least one thread or service slot");
+    if (traffic_.tenants.size() > 65536)
+        throw std::invalid_argument("at most 65536 tenants");
     for (std::uint32_t t = 0; t < threads_; ++t) {
         obs::nameLane(obs::Cat::Workload, t,
                       "client" + std::to_string(t));
@@ -69,14 +133,6 @@ ClientPool::ClientPool(SimContext &ctx, StorageEngine &engine,
         arrivals_.emplace(
             traffic_,
             ctx.deriveSeed(TrafficSpec::kArrivalStream));
-        if (traffic_.hasFlashCrowd()) {
-            WorkloadSpec crowd = spec;
-            crowd.distribution = Distribution::Latest;
-            crowd.seed =
-                ctx.deriveSeed(TrafficSpec::kFlashKeyStream);
-            flashGen_ = std::make_unique<WorkloadGenerator>(
-                crowd, engine.config().recordCount);
-        }
         for (const TenantSpec &t : traffic_.tenants) {
             TenantStats ts;
             ts.name = t.name;
@@ -116,10 +172,22 @@ ClientPool::ClientPool(SimContext &ctx, StorageEngine &engine,
     }
 }
 
+ClientPool::Sink
+ClientPool::engineSink(StorageEngine &engine)
+{
+    // The completion captures only {this, slot}: small enough for
+    // std::function's inline buffer, so issuing never allocates.
+    return [this, &engine](const WorkloadGenerator::Op &op,
+                           std::uint32_t slot) {
+        issueOp(engine, op, [this, slot](const QueryResult &res) {
+            complete(slot, res);
+        });
+    };
+}
+
 void
 ClientPool::start()
 {
-    started_ = true;
     stats_.firstIssue = eq_.now();
     if (traffic_.mode == LoopMode::Open) {
         freeSlots_.reserve(threads_);
@@ -135,28 +203,48 @@ ClientPool::start()
     }
 }
 
-void
-ClientPool::issueToEngine(const WorkloadGenerator::Op &op,
-                          StorageEngine::QueryCb cb)
+WorkloadGenerator::Op
+ClientPool::nextOp(Tick now)
 {
-    switch (op.type) {
-      case WorkloadGenerator::OpType::Read:
-        engine_.get(op.key, std::move(cb));
-        break;
-      case WorkloadGenerator::OpType::Update:
-        engine_.update(op.key, op.valueBytes, std::move(cb));
-        break;
-      case WorkloadGenerator::OpType::Rmw:
-        engine_.readModifyWrite(op.key, op.valueBytes,
-                                std::move(cb));
-        break;
-      case WorkloadGenerator::OpType::Scan:
-        engine_.scan(op.key, op.scanLength, std::move(cb));
-        break;
-      case WorkloadGenerator::OpType::Delete:
-        engine_.erase(op.key, std::move(cb));
-        break;
+    if (trace_ != nullptr)
+        return (*trace_)[traceNext_++];
+    // The key picker switches to the `latest` distribution inside a
+    // flash-crowd window: the surge hammers recently-updated keys.
+    if (flashGen_ != nullptr && arrivals_->inFlashCrowd(now))
+        return flashGen_->next();
+    return gen_->next();
+}
+
+void
+ClientPool::complete(std::uint32_t slot, const QueryResult &res)
+{
+    const InFlight f = inFlight_[slot];
+    // Finish the timeline exactly when the client observes
+    // completion, so the stage dwells sum to the client-visible
+    // latency (from arrival in open loop: queue delay included).
+    obs::attrFinishOp(f.tok, res.done);
+    record(f.type, slot, f.since, res);
+    if (traffic_.mode == LoopMode::Closed) {
+        issueNext(slot);
+        return;
     }
+    if (f.tenant < stats_.tenants.size()) {
+        TenantStats &ts = stats_.tenants[f.tenant];
+        const Tick lat = res.done > f.since ? res.done - f.since : 0;
+        ts.latency.record(lat);
+        ++ts.opsCompleted;
+        const bool violated = ts.sloLatency > 0 && lat > ts.sloLatency;
+        if (violated) {
+            ++ts.sloViolations;
+            ++stats_.sloViolations;
+        }
+        if (telem_ != nullptr && ts.sloLatency > 0)
+            telem_->noteSloResult(res.done, violated);
+    }
+    if (!queue_.empty())
+        dispatch(slot);
+    else
+        freeSlots_.push_back(slot);
 }
 
 // ----------------------------------------------------------------------
@@ -169,25 +257,15 @@ ClientPool::issueNext(std::uint32_t thread)
     if (opsIssued_ >= opTarget_)
         return;
     ++opsIssued_;
-    const WorkloadGenerator::Op op = gen_.next();
     const Tick issued = eq_.now();
-    // Start the op's latency-attribution timeline and make it the
-    // ambient current op for the engine entry call below (the engine
-    // captures the token into its task); finish it exactly when the
-    // client observes completion, so the stage dwells sum to the
-    // client-visible latency.
+    const WorkloadGenerator::Op op = nextOp(issued);
     const obs::OpToken tok =
         obs::attrBeginOp(opAttrClass(op.type), issued);
     inFlight_[thread] = InFlight{op.type, issued, tok, 0};
-    // The completion captures only {this, thread}: small enough for
-    // std::function's inline buffer, so issuing never allocates.
+    // The op's timeline is the ambient current op for the sink's
+    // entry call (the engine captures the token into its task).
     obs::AttrOpScope attr_scope(tok);
-    issueToEngine(op, [this, thread](const QueryResult &res) {
-        const InFlight f = inFlight_[thread];
-        obs::attrFinishOp(f.tok, res.done);
-        record(f.type, thread, f.since, res);
-        issueNext(thread);
-    });
+    sink_(op, thread);
 }
 
 // ----------------------------------------------------------------------
@@ -209,20 +287,13 @@ ClientPool::onArrival()
     const Tick arrival = eq_.now();
     ++stats_.opsOffered;
     stats_.lastArrival = arrival;
-    PendingOp p;
-    // The key picker switches to the `latest` distribution inside a
-    // flash-crowd window: the surge hammers recently-updated keys.
-    WorkloadGenerator &g =
-        flashGen_ != nullptr && arrivals_->inFlashCrowd(arrival)
-            ? *flashGen_
-            : gen_;
-    p.op = g.next();
-    p.arrival = arrival;
-    p.tenant = arrivals_->pickTenant();
+    const WorkloadGenerator::Op op = nextOp(arrival);
+    const auto tenant = std::uint16_t(arrivals_->pickTenant());
     // The timeline starts at arrival: queue wait is part of the
     // latency an open-loop client observes.
-    p.tok = obs::attrBeginOp(opAttrClass(p.op.type), arrival);
-    queue_.push_back(std::move(p));
+    queue_.push_back({arrival, op.key, op.valueBytes, op.scanLength,
+                      obs::attrBeginOp(opAttrClass(op.type), arrival),
+                      tenant, op.type});
     scheduleNextArrival();
     if (!freeSlots_.empty()) {
         const std::uint32_t slot = freeSlots_.back();
@@ -235,43 +306,15 @@ void
 ClientPool::dispatch(std::uint32_t slot)
 {
     assert(!queue_.empty());
-    PendingOp p = std::move(queue_.front());
+    const PendingOp p = queue_.front();
     queue_.pop_front();
     const Tick issued = eq_.now();
     stats_.queueDelay.record(issued > p.arrival ? issued - p.arrival
                                                 : 0);
     obs::attrMark(p.tok, obs::Stage::QueueDelay, issued);
-    inFlight_[slot] = InFlight{p.op.type, p.arrival, p.tok, p.tenant};
+    inFlight_[slot] = InFlight{p.type, p.arrival, p.tok, p.tenant};
     obs::AttrOpScope attr_scope(p.tok);
-    issueToEngine(p.op, [this, slot](const QueryResult &res) {
-        onOpenComplete(slot, res);
-    });
-}
-
-void
-ClientPool::onOpenComplete(std::uint32_t slot, const QueryResult &res)
-{
-    const InFlight f = inFlight_[slot];
-    obs::attrFinishOp(f.tok, res.done);
-    // Latency from arrival: queue delay included.
-    record(f.type, slot, f.since, res);
-    if (f.tenant < stats_.tenants.size()) {
-        TenantStats &ts = stats_.tenants[f.tenant];
-        const Tick lat = res.done > f.since ? res.done - f.since : 0;
-        ts.latency.record(lat);
-        ++ts.opsCompleted;
-        const bool violated = ts.sloLatency > 0 && lat > ts.sloLatency;
-        if (violated) {
-            ++ts.sloViolations;
-            ++stats_.sloViolations;
-        }
-        if (telem_ != nullptr && ts.sloLatency > 0)
-            telem_->noteSloResult(res.done, violated);
-    }
-    if (!queue_.empty())
-        dispatch(slot);
-    else
-        freeSlots_.push_back(slot);
+    sink_({p.type, p.key, p.valueBytes, p.scanLength}, slot);
 }
 
 void

@@ -1,8 +1,13 @@
 /**
  * @file
- * Unified load driver: a pool of N logical client threads running a
- * WorkloadSpec against a StorageEngine in either loop mode of a
- * TrafficSpec (workload/traffic.h).
+ * The load driver: a pool of N logical client threads (service
+ * slots) that takes operations from a source and hands them to a
+ * sink, in either loop mode of a TrafficSpec (workload/traffic.h).
+ *
+ * Sources: a WorkloadGenerator over a WorkloadSpec, or a recorded
+ * Trace (replayed in trace order). Sinks: a StorageEngine, or the
+ * cluster router's Sink callback, which places each op on a shard
+ * and reports the response back through complete().
  *
  * Closed loop (default): each thread keeps exactly one query
  * outstanding — the paper's "number of threads" axis.
@@ -30,6 +35,7 @@
 #include "sim/event_queue.h"
 #include "sim/histogram.h"
 #include "sim/sim_context.h"
+#include "workload/trace.h"
 #include "workload/traffic.h"
 #include "workload/ycsb.h"
 
@@ -43,6 +49,8 @@ struct TenantStats
     LatencyHistogram latency;
     std::uint64_t opsCompleted = 0;
     std::uint64_t sloViolations = 0;
+
+    bool operator==(const TenantStats &) const = default;
 };
 
 /** Latency and progress metrics of a client pool run. */
@@ -68,6 +76,8 @@ struct ClientStats
     Tick lastArrival = 0;
     /** Open loop: one entry per TrafficSpec tenant. */
     std::vector<TenantStats> tenants;
+
+    bool operator==(const ClientStats &) const = default;
 
     /** Wall-clock span of the run in ticks. */
     Tick
@@ -106,11 +116,24 @@ struct ClientStats
     }
 };
 
-/** Drives a WorkloadSpec against a StorageEngine per a TrafficSpec's
+/** Latency-attribution class of an op type. */
+obs::OpClass opAttrClass(WorkloadGenerator::OpType type);
+
+/** Issue @p op on @p engine; @p cb fires when it completes. The one
+ *  place an op type turns into an engine call. */
+void issueOp(StorageEngine &engine, const WorkloadGenerator::Op &op,
+             StorageEngine::QueryCb cb);
+
+/** Drives an op source into an engine or a Sink per a TrafficSpec's
  *  loop mode. */
 class ClientPool
 {
   public:
+    /** Where ops go: takes @p op on service slot @p slot, whose
+     *  outcome comes back through complete(slot, ...). */
+    using Sink = std::function<void(const WorkloadGenerator::Op &op,
+                                    std::uint32_t slot)>;
+
     /** Closed-loop pool (historical interface). */
     ClientPool(SimContext &ctx, StorageEngine &engine,
                const WorkloadSpec &spec, std::uint32_t threads);
@@ -122,6 +145,18 @@ class ClientPool
                const WorkloadSpec &spec, const TrafficSpec &traffic,
                std::uint32_t threads);
 
+    /** Closed-loop replay of @p trace, in trace order; the trace
+     *  must outlive the pool. */
+    ClientPool(SimContext &ctx, StorageEngine &engine,
+               const Trace &trace, std::uint32_t threads);
+
+    /** Ops over @p key_count keys into @p sink (the cluster
+     *  router), accounted into @p stats (null: the pool's own),
+     *  which must outlive the pool. */
+    ClientPool(SimContext &ctx, Sink sink, ClientStats *stats,
+               std::uint64_t key_count, const WorkloadSpec &spec,
+               const TrafficSpec &traffic, std::uint32_t slots);
+
     /** Launch all threads' first operations / the arrival clock. */
     void start();
 
@@ -130,6 +165,10 @@ class ClientPool
 
     const ClientStats &stats() const { return stats_; }
 
+    /** Account the op in flight on @p slot as done with @p res and
+     *  refill the slot. */
+    void complete(std::uint32_t slot, const QueryResult &res);
+
     /** Per-operation sample hook (timelines, custom collectors).
      *  In open loop @p issued is the arrival tick. */
     using Sampler = std::function<void(Tick issued, Tick done,
@@ -137,18 +176,29 @@ class ClientPool
                                        bool is_read)>;
     void setSampler(Sampler s) { sampler_ = std::move(s); }
 
+    /** Completions, arrivals and probes hold `this`. */
+    ClientPool(const ClientPool &) = delete;
+
   private:
-    /** An arrival waiting for (or holding) a service slot. */
+    /**
+     * An arrival waiting for a service slot. The op is stored
+     * flattened so an entry stays 32 bytes: the FIFO's deque then
+     * allocates one block per 16 arrivals.
+     */
     struct PendingOp
     {
-        WorkloadGenerator::Op op;
-        obs::OpToken tok = obs::kNoOpToken;
         Tick arrival = 0;
-        std::uint32_t tenant = 0;
+        std::uint64_t key = 0;
+        std::uint32_t valueBytes = 0;
+        std::uint32_t scanLength = 0;
+        obs::OpToken tok = obs::kNoOpToken;
+        std::uint16_t tenant = 0;
+        WorkloadGenerator::OpType type = WorkloadGenerator::OpType::Read;
     };
+    static_assert(sizeof(PendingOp) == 32);
 
     /** The op a closed-loop thread or open-loop slot has in the
-     *  engine. */
+     *  sink. */
     struct InFlight
     {
         WorkloadGenerator::OpType type = WorkloadGenerator::OpType::Read;
@@ -158,6 +208,16 @@ class ClientPool
         std::uint32_t tenant = 0;
     };
 
+    /** Setup shared by both sources (@p gen empty: a trace). */
+    ClientPool(SimContext &ctx, Sink sink, ClientStats *stats,
+               const TrafficSpec &traffic, std::uint64_t op_target,
+               std::uint32_t threads,
+               std::optional<WorkloadGenerator> gen);
+
+    /** The sink that issues each op on @p engine. */
+    Sink engineSink(StorageEngine &engine);
+
+    WorkloadGenerator::Op nextOp(Tick now);
     void issueNext(std::uint32_t thread);
     void record(WorkloadGenerator::OpType type, std::uint32_t thread,
                 Tick issued, const QueryResult &res);
@@ -165,24 +225,26 @@ class ClientPool
     void scheduleNextArrival();
     void onArrival();
     void dispatch(std::uint32_t slot);
-    void onOpenComplete(std::uint32_t slot, const QueryResult &res);
-    void issueToEngine(const WorkloadGenerator::Op &op,
-                       StorageEngine::QueryCb cb);
 
     EventQueue &eq_;
-    StorageEngine &engine_;
-    WorkloadGenerator gen_;
+    Sink sink_;
+    std::optional<ClientStats> ownStats_;
+    /** *ownStats_, or the storage a Sink's owner handed in. */
+    ClientStats &stats_;
     TrafficSpec traffic_;
     std::uint64_t opTarget_;
     std::uint64_t opsIssued_ = 0;
     std::uint32_t threads_;
     /** Per thread / service slot; completions look their op up here. */
     std::vector<InFlight> inFlight_;
-    ClientStats stats_;
     Sampler sampler_;
     /** Telemetry sampler of the run (nullptr: telemetry off). */
     obs::TelemetrySampler *telem_ = nullptr;
-    bool started_ = false;
+
+    // Op source: a generator, or a trace with its read cursor.
+    std::optional<WorkloadGenerator> gen_;
+    const std::vector<WorkloadGenerator::Op> *trace_ = nullptr;
+    std::uint64_t traceNext_ = 0;
 
     // Open-loop state.
     std::optional<ArrivalEngine> arrivals_;

@@ -5,9 +5,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "engine/storage_engine.h"
-#include "sim/sim_context.h"
-
 namespace checkin {
 
 Trace
@@ -99,56 +96,6 @@ Trace::load(std::istream &is)
         t.ops_.push_back(op);
     }
     return t;
-}
-
-TraceReplayer::TraceReplayer(SimContext &ctx, StorageEngine &engine,
-                             const Trace &trace,
-                             std::uint32_t threads)
-    : eq_(ctx.events()),
-      engine_(engine),
-      trace_(trace),
-      threads_(threads)
-{
-}
-
-void
-TraceReplayer::start()
-{
-    for (std::uint32_t t = 0; t < threads_ && issued_ < trace_.size();
-         ++t) {
-        issueNext();
-    }
-}
-
-void
-TraceReplayer::issueNext()
-{
-    using OpType = WorkloadGenerator::OpType;
-    if (issued_ >= trace_.size())
-        return;
-    const Trace::Op &op = trace_.ops()[issued_++];
-    auto cb = [this](const QueryResult &) {
-        ++completed_;
-        issueNext();
-    };
-    switch (op.type) {
-      case OpType::Read:
-        engine_.get(op.key, std::move(cb));
-        break;
-      case OpType::Update:
-        engine_.update(op.key, op.valueBytes, std::move(cb));
-        break;
-      case OpType::Rmw:
-        engine_.readModifyWrite(op.key, op.valueBytes,
-                                std::move(cb));
-        break;
-      case OpType::Scan:
-        engine_.scan(op.key, op.scanLength, std::move(cb));
-        break;
-      case OpType::Delete:
-        engine_.erase(op.key, std::move(cb));
-        break;
-    }
 }
 
 } // namespace checkin

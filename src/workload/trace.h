@@ -1,9 +1,10 @@
 /**
  * @file
  * Operation trace record/replay: capture a workload as a portable
- * text trace, replay it deterministically against an engine. Useful
- * for regression pinning, cross-configuration comparisons on an
- * identical request stream, and importing external traces.
+ * text trace; a ClientPool (workload/client.h) replays it
+ * deterministically against an engine. Useful for regression
+ * pinning, cross-configuration comparisons on an identical request
+ * stream, and importing external traces.
  */
 
 #ifndef CHECKIN_WORKLOAD_TRACE_H_
@@ -52,50 +53,10 @@ class Trace
      */
     static Trace load(std::istream &is);
 
-    bool
-    operator==(const Trace &o) const
-    {
-        if (ops_.size() != o.ops_.size())
-            return false;
-        for (std::size_t i = 0; i < ops_.size(); ++i) {
-            if (ops_[i].type != o.ops_[i].type ||
-                ops_[i].key != o.ops_[i].key ||
-                ops_[i].valueBytes != o.ops_[i].valueBytes ||
-                ops_[i].scanLength != o.ops_[i].scanLength) {
-                return false;
-            }
-        }
-        return true;
-    }
+    bool operator==(const Trace &) const = default;
 
   private:
     std::vector<Op> ops_;
-};
-
-class StorageEngine;
-class EventQueue;
-class SimContext;
-
-/** Closed-loop replay of a Trace against an engine. */
-class TraceReplayer
-{
-  public:
-    TraceReplayer(SimContext &ctx, StorageEngine &engine,
-                  const Trace &trace, std::uint32_t threads);
-
-    void start();
-    bool done() const { return completed_ >= trace_.size(); }
-    std::uint64_t completed() const { return completed_; }
-
-  private:
-    void issueNext();
-
-    EventQueue &eq_;
-    StorageEngine &engine_;
-    const Trace &trace_;
-    std::uint32_t threads_;
-    std::uint64_t issued_ = 0;
-    std::uint64_t completed_ = 0;
 };
 
 } // namespace checkin

@@ -86,6 +86,8 @@ class WorkloadGenerator
         std::uint64_t key;
         std::uint32_t valueBytes = 0; //!< for Update/Rmw
         std::uint32_t scanLength = 0; //!< for Scan
+
+        bool operator==(const Op &) const = default;
     };
 
     WorkloadGenerator(const WorkloadSpec &spec,

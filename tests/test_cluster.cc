@@ -11,6 +11,7 @@
 #include <fstream>
 #include <numeric>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -166,6 +167,81 @@ TEST(Cluster, AttributionReportsCheckpointStall)
         attrOps += s.attribution.totalOps;
     }
     EXPECT_EQ(attrOps, r.router.opsCompleted);
+}
+
+/** count, exact sum, p50, p99 and p99.9 of @p h. */
+std::vector<std::uint64_t>
+pins(const LatencyHistogram &h)
+{
+    return {h.count(), h.sum(), h.quantile(0.5), h.quantile(0.99),
+            h.quantile(0.999)};
+}
+
+using Pins = std::vector<std::uint64_t>;
+
+/** testConfig() at 2000 ops; @p open: MMPP arrivals at 150 k ops/s
+ *  over 8 clients, so arrivals queue for a slot. */
+ClusterConfig
+goldenConfig(bool open)
+{
+    ClusterConfig cfg = testConfig();
+    cfg.workload.operationCount = 2000;
+    if (open) {
+        cfg.clients = 8;
+        cfg.traffic.mode = LoopMode::Open;
+        cfg.traffic.process = ArrivalProcess::Mmpp;
+        cfg.traffic.offeredOpsPerSec = 150'000.0;
+    }
+    return cfg;
+}
+
+/**
+ * Golden pins of the router's client-visible outcome, recorded while
+ * the router still ran its own copy of the client loop; with
+ * ClientPool as the driver no event, RNG draw or tick may change.
+ */
+TEST(Cluster, RouterGoldenRuns)
+{
+    const ClusterResult c = runCluster(goldenConfig(false));
+    EXPECT_EQ(pins(c.router.all),
+              (Pins{2000, 101374595, 44543, 204799, 253951}));
+    EXPECT_EQ((Pins{c.router.reads.count(), c.router.writes.count(),
+                    c.router.queueDelay.count(), c.router.opsIssued,
+                    c.router.firstIssue, c.router.lastCompletion,
+                    c.totalEvents}),
+              (Pins{986, 1014, 0, 2000, 14600390, 17796025, 8251}));
+
+    const ClusterResult o = runCluster(goldenConfig(true));
+    EXPECT_EQ(pins(o.router.all),
+              (Pins{2000, 110023557, 46591, 119807, 135167}));
+    EXPECT_EQ(pins(o.router.queueDelay),
+              (Pins{2000, 20222249, 1919, 56831, 75775}));
+    EXPECT_EQ((Pins{o.router.reads.count(), o.router.writes.count(),
+                    o.router.opsIssued, o.router.opsOffered,
+                    o.router.lastArrival, o.router.lastCompletion,
+                    o.totalEvents}),
+              (Pins{986, 1014, 2000, 2000, 27836842, 27880252, 10654}));
+}
+
+/** docs/TRAFFIC.md: tenants are a single-node feature; the router
+ *  draws no tenant pick, so a tenant table changes nothing. */
+TEST(Cluster, OpenLoopIgnoresTenants)
+{
+    ClusterConfig cfg = goldenConfig(true);
+    const std::string plain = runJson(cfg);
+    cfg.traffic.tenants = {TenantSpec{"gold", 0.25, kMsec},
+                           TenantSpec{"bronze", 0.75, 10 * kMsec}};
+    const ClusterResult r = runCluster(cfg);
+    EXPECT_EQ(clusterResultJson(cfg, r), plain);
+    EXPECT_TRUE(r.router.tenants.empty());
+}
+
+/** Zero clients is an error, as zero threads is for runExperiment. */
+TEST(Cluster, RejectsZeroClients)
+{
+    ClusterConfig cfg = testConfig();
+    cfg.clients = 0;
+    EXPECT_THROW(runCluster(cfg), std::invalid_argument);
 }
 
 TEST(Cluster, WritesClusterJsonArtifact)

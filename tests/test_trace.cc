@@ -89,12 +89,12 @@ TEST(TraceReplay, CompletesEveryOperation)
     Stack s(CheckpointMode::CheckIn);
     WorkloadSpec spec = WorkloadSpec::a();
     const Trace t = Trace::generate(spec, 300, 800);
-    TraceReplayer replay(s.ctx, *s.engine, t, 16);
+    ClientPool replay(s.ctx, *s.engine, t, 16);
     replay.start();
     while (!replay.done()) {
         ASSERT_TRUE(s.eq.step()) << "deadlock during replay";
     }
-    EXPECT_EQ(replay.completed(), 800u);
+    EXPECT_EQ(replay.stats().opsCompleted, 800u);
     s.engine->verifyAllKeys();
 }
 
@@ -108,7 +108,7 @@ TEST(TraceReplay, SameTraceSameFinalStateAcrossModes)
          {CheckpointMode::Baseline, CheckpointMode::IscC,
           CheckpointMode::CheckIn}) {
         Stack s(mode);
-        TraceReplayer replay(s.ctx, *s.engine, t, 8);
+        ClientPool replay(s.ctx, *s.engine, t, 8);
         replay.start();
         while (!replay.done())
             ASSERT_TRUE(s.eq.step());
@@ -133,7 +133,7 @@ TEST(TraceReplay, HandlesDeletesInTrace)
     t.add({OpType::Delete, 10, 0, 0});
     t.add({OpType::Read, 10, 0, 0});
     t.add({OpType::Scan, 5, 0, 10});
-    TraceReplayer replay(s.ctx, *s.engine, t, 1);
+    ClientPool replay(s.ctx, *s.engine, t, 1);
     replay.start();
     while (!replay.done())
         ASSERT_TRUE(s.eq.step());

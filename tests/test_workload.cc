@@ -7,9 +7,12 @@
 
 #include <map>
 #include <stdexcept>
+#include <utility>
 
 #include "harness/experiment.h"
 #include "harness/presets.h"
+#include "test_stack.h"
+#include "workload/trace.h"
 #include "workload/ycsb.h"
 
 namespace checkin {
@@ -161,6 +164,40 @@ TEST(ClientStats, CheckpointWindowsPartitionAllOps)
     // Sums partition along with the counts.
     EXPECT_EQ(c.all.sum(), c.duringCheckpoint.sum() +
                                c.outsideCheckpoint.sum());
+}
+
+/** The op source is the only difference between a trace replay and a
+ *  generator run over the same spec. */
+TEST(ClientPool, TraceSourceMatchesGeneratorSource)
+{
+    WorkloadSpec spec = WorkloadSpec::a();
+    spec.operationCount = 3000;
+    const Trace trace = Trace::generate(spec, 300, 3000);
+    const ExperimentConfig cfg =
+        stackConfig(CheckpointMode::CheckIn, 300, 128 * kKiB);
+    TestStack<> a(cfg, 256), b(cfg, 256);
+    ClientPool gen(a.ctx, *a.engine, spec, 16);
+    ClientPool replay(b.ctx, *b.engine, trace, 16);
+    for (auto [s, pool] : {std::pair{&a, &gen}, std::pair{&b, &replay}}) {
+        s->engine->start();
+        pool->start();
+        while (!pool->done())
+            ASSERT_TRUE(s->eq.step()) << "deadlock";
+    }
+    EXPECT_GT(a.engine->checkpointDurations().size(), 0u);
+    EXPECT_EQ(replay.stats().opsCompleted, 3000u);
+    EXPECT_TRUE(replay.stats() == gen.stats());
+    for (std::uint64_t k = 0; k < 300; ++k)
+        EXPECT_EQ(b.engine->keymap()[k].version,
+                  a.engine->keymap()[k].version);
+}
+
+TEST(ClientPool, RejectsZeroSlotsWhileOpsRemain)
+{
+    TestStack<> s(stackConfig(CheckpointMode::CheckIn), 256);
+    EXPECT_THROW(ClientPool(s.ctx, *s.engine, WorkloadSpec::a(), 0),
+                 std::invalid_argument);
+    EXPECT_TRUE(ClientPool(s.ctx, *s.engine, Trace{}, 0).done());
 }
 
 TEST(WorkloadGenerator, RejectsEmptyKeySpace)
