@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <memory>
-#include <set>
 #include <sstream>
 #include <stdexcept>
 
@@ -339,12 +338,15 @@ KvEngine::writeCatalog(const std::vector<JmtEntry> &entries,
     }
     const auto g = std::uint32_t(
         std::max<std::uint32_t>(1, ssd_.ftl().sectorsPerUnit()));
-    std::set<Lba> bases;
+    std::vector<Lba> &bases = catalogBases_;
+    bases.clear();
     for (const JmtEntry &e : entries) {
         const Lba rel = layout_.catalogLba(e.key) -
                         layout_.catalogStart;
-        bases.insert(layout_.catalogStart + alignDown(rel, g));
+        bases.push_back(layout_.catalogStart + alignDown(rel, g));
     }
+    std::sort(bases.begin(), bases.end());
+    bases.erase(std::unique(bases.begin(), bases.end()), bases.end());
     auto job = std::make_shared<FanOut>();
     job->outstanding = bases.size();
     job->done = std::move(cb);

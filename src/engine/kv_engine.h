@@ -120,6 +120,9 @@ class KvEngine : public JournaledEngine
     /** Journal mapping table: the latest committed log of each key
      *  in the active half (the checkpoint index). */
     std::unordered_map<std::uint64_t, JmtEntry> jmt_;
+    /** writeCatalog scratch: catalog unit bases, sorted and unique
+     *  (submission order is ascending base). */
+    std::vector<Lba> catalogBases_;
 };
 
 } // namespace checkin

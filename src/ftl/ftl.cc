@@ -1,6 +1,7 @@
 #include "ftl/ftl.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <stdexcept>
 #include <string>
@@ -47,8 +48,7 @@ Ftl::Ftl(NandFlash &nand, const FtlConfig &cfg)
       bm_(nand.config().totalBlocks(),
           nand.config().pagesPerBlock *
               (nand.config().pageBytes / cfg.mappingUnitBytes),
-          nand.config().dieCount()),
-      pageSeq_(nand.config().totalPages(), 0)
+          nand.config().dieCount())
 {
     const NandConfig &nc = nand_.config();
     if (cfg_.mappingUnitBytes % kSectorBytes != 0 ||
@@ -76,14 +76,16 @@ Ftl::Ftl(NandFlash &nand, const FtlConfig &cfg)
             cap >= total_segs ? 0 : std::size_t(cap);
         mapCache_.init(total_segs, mapSegCapacity_);
     }
-    map_.assign(logicalUnits_, kInvalidAddr);
+    map_ = ZeroedArray<SlotId>(logicalUnits_);
+    mappedBits_ = ZeroedArray<std::uint64_t>(divCeil(logicalUnits_, 64));
     badBlock_.assign(nc.totalBlocks(), 0);
     open_.assign(std::size_t(kStreamCount) * nc.dieCount(),
                  OpenPage{});
     const std::uint64_t total_slots = nc.totalPages() * slotsPerPage_;
-    slotInfo_.assign(total_slots, SlotInfo{});
-    sectors_.assign(total_slots * sectorsPerUnit_, SectorData{});
-    slotOob_.assign(total_slots, OobEntry{});
+    slotInfo_ = ZeroedArray<SlotInfo>(total_slots);
+    sectors_ = ZeroedArray<SectorData>(total_slots * sectorsPerUnit_);
+    slotOob_ = ZeroedArray<OobEntry>(total_slots);
+    pageOpen_ = ZeroedArray<std::uint8_t>(nc.totalPages());
     // Rare >2-reference CoW chains hash into refOverflow_; reserve a
     // geometry-derived bucket count so warmup never rehashes.
     refOverflow_.reserve(
@@ -142,6 +144,35 @@ Ftl::pageOfSlot(SlotId slot) const
     return slot / slotsPerPage_;
 }
 
+void
+Ftl::setMapping(Lpn lpn, SlotId slot)
+{
+    map_[lpn] = slot + 1;
+    const std::uint64_t bit = std::uint64_t{1} << (lpn % 64);
+    if (slot == kInvalidAddr)
+        mappedBits_[lpn / 64] &= ~bit;
+    else
+        mappedBits_[lpn / 64] |= bit;
+}
+
+Lpn
+Ftl::nextMapped(Lpn from, Lpn end) const
+{
+    assert(end <= map_.size());
+    if (from >= end)
+        return end;
+    std::uint64_t w = from / 64;
+    const std::uint64_t last_w = (end - 1) / 64;
+    std::uint64_t bits =
+        mappedBits_[w] & (~std::uint64_t{0} << (from % 64));
+    while (bits == 0) {
+        if (++w > last_w)
+            return end;
+        bits = mappedBits_[w];
+    }
+    return std::min<Lpn>(end, w * 64 + std::countr_zero(bits));
+}
+
 Tick
 Ftl::mapAccess(Lpn lpn, Tick earliest)
 {
@@ -195,12 +226,7 @@ Ftl::cacheEvict(Ppn ppn)
 bool
 Ftl::isBuffered(SlotId slot) const
 {
-    const Ppn page = pageOfSlot(slot);
-    for (const OpenPage &op : open_) {
-        if (op.ppn == page)
-            return true;
-    }
-    return false;
+    return pageOpen_[pageOfSlot(slot)] != 0;
 }
 
 void
@@ -212,27 +238,14 @@ Ftl::programOpenPage(Stream stream, std::uint32_t die, Tick earliest)
     assert(op.ppn != kInvalidAddr);
     const Ppn ppn = op.ppn;
 
-    // Refill the recycled page buffer; program() hands back the
-    // erased page's storage for the next program.
-    PageContent &content = programBuf_;
-    content.slotTokens.clear();
-    content.slotTokens.reserve(slotsPerPage_ * sectorsPerUnit_ *
-                               kChunksPerSector);
-    content.oob.clear();
-    content.oob.reserve(slotsPerPage_);
-    for (std::uint32_t s = 0; s < slotsPerPage_; ++s) {
-        const SlotId slot = slotOf(ppn, s);
-        content.oob.push_back(slotOob_[slot]);
-        for (std::uint32_t k = 0; k < sectorsPerUnit_; ++k) {
-            for (std::uint64_t c :
-                 sectors_[slot * sectorsPerUnit_ + k].chunks) {
-                content.slotTokens.push_back(c);
-            }
-        }
-    }
-    pageSeq_[ppn] = nextProgramSeq_++;
-    content.seq = pageSeq_[ppn];
-    const NandResult done = nand_.program(ppn, content, earliest);
+    // The shadows are the page's contents. Slots of a partially
+    // filled page that were never allocated in this erase cycle carry
+    // no write: program them with empty OOB, as a fresh device holds.
+    for (std::uint32_t s = op.nextSlot; s < slotsPerPage_; ++s)
+        slotOob_[slotOf(ppn, s)] = OobEntry{};
+    pageOpen_[ppn] = 0;
+    const NandResult done =
+        nand_.program(ppn, nextProgramSeq_++, earliest);
     // Request-to-completion view of sealing the open page (the die
     // lanes in Cat::Nand show the physical occupancy).
     obs::span(obs::Cat::Ftl, kFtlLane + 1 + die, "ftl.program",
@@ -247,7 +260,6 @@ Ftl::programOpenPage(Stream stream, std::uint32_t die, Tick earliest)
         // SPOR-protected buffer (the shadows), so nothing is lost;
         // the page itself is consumed and unreadable, and the whole
         // block leaves circulation.
-        pageSeq_[ppn] = 0;
         stats_.add("ftl.programFails");
         handleProgramFail(ppn, done.tick);
         return;
@@ -306,9 +318,9 @@ Ftl::handleProgramFail(Ppn failed_ppn, Tick now)
             const SlotId old_slot = slotOf(ppn, s);
             if (slotInfo_[old_slot].nrefs == 0)
                 continue;
-            std::vector<SectorData> payload(sectorsPerUnit_);
-            for (std::uint32_t k = 0; k < sectorsPerUnit_; ++k)
-                payload[k] = sectors_[old_slot * sectorsPerUnit_ + k];
+            const SectorData *old_sectors = sectorsOf(old_slot);
+            const std::vector<SectorData> payload(
+                old_sectors, old_sectors + sectorsPerUnit_);
             const OobEntry oob = slotOob_[old_slot];
             std::vector<Lpn> refs;
             refs.reserve(slotInfo_[old_slot].nrefs);
@@ -316,11 +328,10 @@ Ftl::handleProgramFail(Ppn failed_ppn, Tick now)
                        [&refs](Lpn lpn) { refs.push_back(lpn); });
 
             const SlotId ns = allocateSlot(Stream::Gc, last_read);
-            for (std::uint32_t k = 0; k < sectorsPerUnit_; ++k)
-                sectors_[ns * sectorsPerUnit_ + k] = payload[k];
+            std::copy(payload.begin(), payload.end(), sectorsOf(ns));
             slotOob_[ns] = oob;
             for (Lpn lpn : refs) {
-                map_[lpn] = ns;
+                setMapping(lpn, ns);
                 addRef(ns, lpn);
                 touchMapEntry(last_read);
             }
@@ -343,11 +354,14 @@ Ftl::allocateSlot(Stream stream, Tick earliest)
     const std::uint32_t dies = bm_.dieCount();
     // Round-robin starting die (superblock-style write striping);
     // fall over to the next die when one runs out of blocks.
-    const std::uint32_t start = rot_[std::uint32_t(stream)]++ % dies;
-    for (std::uint32_t probe = 0; probe < dies; ++probe) {
-        const std::uint32_t die = (start + probe) % dies;
-        OpenPage &op =
-            open_[std::size_t(std::uint32_t(stream)) * dies + die];
+    std::uint32_t &rot = rot_[std::uint32_t(stream)];
+    std::uint32_t die = rot;
+    rot = rot + 1 == dies ? 0 : rot + 1;
+    OpenPage *const row =
+        &open_[std::size_t(std::uint32_t(stream)) * dies];
+    for (std::uint32_t probe = 0; probe < dies;
+         ++probe, die = die + 1 == dies ? 0 : die + 1) {
+        OpenPage &op = row[die];
         if (op.ppn != kInvalidAddr && op.nextSlot == slotsPerPage_)
             programOpenPage(stream, die, earliest); // resets op
         if (op.ppn == kInvalidAddr) {
@@ -361,15 +375,16 @@ Ftl::allocateSlot(Stream stream, Tick earliest)
             op.ppn = layout_.firstPpnOfBlock(active) +
                      nand_.nextProgramPage(active);
             op.nextSlot = 0;
+            pageOpen_[op.ppn] = 1;
         }
         const SlotId slot = slotOf(op.ppn, op.nextSlot);
         ++op.nextSlot;
         // Fresh slot: wipe stale shadow left from before the erase.
         slotInfo_[slot] = SlotInfo{};
-        refOverflow_.erase(slot);
+        if (!refOverflow_.empty())
+            refOverflow_.erase(slot);
         slotOob_[slot] = OobEntry{};
-        for (std::uint32_t k = 0; k < sectorsPerUnit_; ++k)
-            sectors_[slot * sectorsPerUnit_ + k] = SectorData{};
+        std::fill_n(sectorsOf(slot), sectorsPerUnit_, SectorData{});
         return slot;
     }
     throw std::runtime_error("FTL: out of flash blocks");
@@ -384,10 +399,8 @@ Ftl::addRef(SlotId slot, Lpn lpn)
     else
         refOverflow_[slot].push_back(lpn);
     ++info.nrefs;
-    if (info.nrefs == 1) {
+    if (info.nrefs == 1)
         bm_.addValid(blockOfSlot(slot));
-        info.everValid = true;
-    }
 }
 
 void
@@ -410,7 +423,6 @@ Ftl::deref(SlotId slot, Lpn lpn)
                 refOverflow_.erase(it);
         } else {
             info.refs[i] = info.refs[inline_n - 1];
-            info.refs[inline_n - 1] = kInvalidAddr;
         }
     } else {
         auto it = refOverflow_.find(slot);
@@ -434,17 +446,18 @@ Ftl::deref(SlotId slot, Lpn lpn)
 void
 Ftl::unmap(Lpn lpn)
 {
-    if (map_[lpn] == kInvalidAddr)
+    const SlotId slot = mappedSlot(lpn);
+    if (slot == kInvalidAddr)
         return;
-    deref(map_[lpn], lpn);
-    map_[lpn] = kInvalidAddr;
+    deref(slot, lpn);
+    setMapping(lpn, kInvalidAddr);
 }
 
 void
 Ftl::mapLpn(Lpn lpn, SlotId slot)
 {
     unmap(lpn);
-    map_[lpn] = slot;
+    setMapping(lpn, slot);
     addRef(slot, lpn);
 }
 
@@ -530,8 +543,9 @@ Ftl::gatherSlots(Lpn first, Lpn last)
 {
     slotScratch_.clear();
     for (Lpn u = first; u <= last; ++u) {
-        if (map_[u] != kInvalidAddr)
-            slotScratch_.push_back(map_[u]);
+        const SlotId slot = mappedSlot(u);
+        if (slot != kInvalidAddr)
+            slotScratch_.push_back(slot);
     }
 }
 
@@ -555,25 +569,27 @@ Ftl::writeSectors(Lba lba, std::uint32_t nsect, const SectorData *data,
         const std::uint32_t s1 = std::uint32_t(
             std::min<Lba>(lba + nsect, unit_start + sectorsPerUnit_) -
             unit_start);
-        const bool partial = (s1 - s0) != sectorsPerUnit_;
-
-        // Read-modify-write: fetch the rest of the unit first.
-        std::vector<SectorData> &merged = mergeScratch_;
-        merged.assign(sectorsPerUnit_, SectorData{});
-        const SlotId old_slot = map_[u];
-        if (partial && old_slot != kInvalidAddr) {
-            ack = std::max(ack, readSlotPages(&old_slot, 1, cause,
-                                              earliest));
-            stats_.add(sRmwReads_);
-            for (std::uint32_t k = 0; k < sectorsPerUnit_; ++k)
-                merged[k] = sectors_[old_slot * sectorsPerUnit_ + k];
+        // A whole unit is written straight from the caller's data.
+        const SectorData *unit_data = data + (unit_start + s0 - lba);
+        if ((s1 - s0) != sectorsPerUnit_) {
+            // Read-modify-write: fetch the rest of the unit first.
+            std::vector<SectorData> &merged = mergeScratch_;
+            merged.assign(sectorsPerUnit_, SectorData{});
+            const SlotId old_slot = mappedSlot(u);
+            if (old_slot != kInvalidAddr) {
+                ack = std::max(ack, readSlotPages(&old_slot, 1, cause,
+                                                  earliest));
+                stats_.add(sRmwReads_);
+                std::copy_n(sectorsOf(old_slot), sectorsPerUnit_,
+                            merged.begin());
+            }
+            std::copy(unit_data, unit_data + (s1 - s0),
+                      merged.begin() + s0);
+            unit_data = merged.data();
         }
-        for (std::uint32_t k = s0; k < s1; ++k)
-            merged[k] = data[(unit_start + k) - lba];
 
         const SlotId slot = allocateSlot(stream, earliest);
-        for (std::uint32_t k = 0; k < sectorsPerUnit_; ++k)
-            sectors_[slot * sectorsPerUnit_ + k] = merged[k];
+        std::copy_n(unit_data, sectorsPerUnit_, sectorsOf(slot));
         if (unit_oob != nullptr) {
             slotOob_[slot] = unit_oob[u - first];
             slotOob_[slot].lpn = u;
@@ -595,8 +611,7 @@ Ftl::peekSectors(Lba lba, std::uint32_t nsect, SectorData *out) const
     assert(lba + nsect <= logicalSectors());
     for (std::uint32_t i = 0; i < nsect; ++i) {
         const Lba cur = lba + i;
-        const Lpn u = cur / sectorsPerUnit_;
-        const SlotId slot = map_[u];
+        const SlotId slot = mappedSlot(cur / sectorsPerUnit_);
         if (slot == kInvalidAddr) {
             out[i] = SectorData{};
         } else {
@@ -611,9 +626,10 @@ Ftl::trimSectors(Lba lba, std::uint64_t nsect)
 {
     const Lpn first = divCeil(lba, sectorsPerUnit_);
     const Lpn last_excl = (lba + nsect) / sectorsPerUnit_;
-    for (Lpn u = first; u < last_excl; ++u) {
-        if (map_[u] == kInvalidAddr)
-            continue;
+    // Work per mapped unit: the bitmap skips unmapped runs a word at a
+    // time. It is re-read after every unmap, which may run GC.
+    for (Lpn u = nextMapped(first, last_excl); u < last_excl;
+         u = nextMapped(u + 1, last_excl)) {
         unmap(u);
         touchMapEntry(0);
         stats_.add(sTrimmedUnits_);
@@ -629,7 +645,7 @@ Ftl::isUnitAligned(Lba lba, std::uint32_t nsect) const
 bool
 Ftl::isMapped(Lpn lpn) const
 {
-    return lpn < map_.size() && map_[lpn] != kInvalidAddr;
+    return lpn < map_.size() && mappedSlot(lpn) != kInvalidAddr;
 }
 
 Tick
@@ -638,11 +654,11 @@ Ftl::remapUnit(Lpn src, Lpn dst, Tick earliest)
     assert(isMapped(src));
     earliest = std::max(mapAccess(src, earliest),
                         mapAccess(dst, earliest));
-    const SlotId slot = map_[src];
-    if (map_[dst] == slot)
+    const SlotId slot = mappedSlot(src);
+    if (mappedSlot(dst) == slot)
         return earliest;
     unmap(dst);
-    map_[dst] = slot;
+    setMapping(dst, slot);
     addRef(slot, dst);
     touchMapEntry(earliest);
     stats_.add(sRemaps_);
@@ -759,9 +775,8 @@ Ftl::reclaimBlock(Pbn victim, Tick earliest)
             // wipe shadows. The scratch is safe across allocateSlot:
             // reclaimBlock runs only under inGc_, so it never nests.
             std::vector<SectorData> &payload = gcPayload_;
-            payload.assign(
-                sectors_.begin() + old_slot * sectorsPerUnit_,
-                sectors_.begin() + (old_slot + 1) * sectorsPerUnit_);
+            const SectorData *old_sectors = sectorsOf(old_slot);
+            payload.assign(old_sectors, old_sectors + sectorsPerUnit_);
             const OobEntry oob = slotOob_[old_slot];
             std::vector<Lpn> &refs = gcRefs_;
             refs.clear();
@@ -769,11 +784,10 @@ Ftl::reclaimBlock(Pbn victim, Tick earliest)
                        [&refs](Lpn lpn) { refs.push_back(lpn); });
 
             const SlotId ns = allocateSlot(Stream::Gc, last_read);
-            for (std::uint32_t k = 0; k < sectorsPerUnit_; ++k)
-                sectors_[ns * sectorsPerUnit_ + k] = payload[k];
+            std::copy(payload.begin(), payload.end(), sectorsOf(ns));
             slotOob_[ns] = oob;
             for (Lpn lpn : refs) {
-                map_[lpn] = ns;
+                setMapping(lpn, ns);
                 addRef(ns, lpn);
                 touchMapEntry(last_read);
             }
@@ -861,10 +875,14 @@ Ftl::rebuildFromPowerLoss()
     const NandConfig &nc = nand_.config();
 
     // 1. All RAM state is gone. Unprogrammed open pages are lost.
-    for (OpenPage &op : open_)
+    for (OpenPage &op : open_) {
+        if (op.ppn != kInvalidAddr)
+            pageOpen_[op.ppn] = 0;
         op = OpenPage{};
-    std::fill(map_.begin(), map_.end(), kInvalidAddr);
-    slotInfo_.assign(slotInfo_.size(), SlotInfo{});
+    }
+    map_.zero();
+    mappedBits_.zero();
+    slotInfo_.zero();
     refOverflow_.clear();
     dataCache_.clear();
     dirtyMapBytes_ = 0;
@@ -883,8 +901,9 @@ Ftl::rebuildFromPowerLoss()
     }
     bm_.resetForRebuild(erase_counts, closed, bad);
 
-    // 3. Restore the sector/OOB shadows from NAND and collect every
-    //    readable slot with its replay rank: host-write order first
+    // 3. Read the sector/OOB shadows of every readable page and
+    //    collect each written slot with its replay rank: host-write
+    //    order first
     //    (program order lies across the power cut — the capacitor
     //    flush seals per-die open pages in die order, not write
     //    order), program order second so that after an erase failure
@@ -907,54 +926,27 @@ Ftl::rebuildFromPowerLoss()
     };
     std::vector<Replay> ordered;
     for (Ppn p = 0; p < nc.totalPages(); ++p) {
-        if (!nand_.isProgrammed(p)) {
+        const std::uint64_t seq = nand_.programSeq(p);
+        if (seq == 0) {
+            // Unprogrammed, or consumed by a failed program: nothing
+            // readable survives, so the page's shadows read empty and
+            // it contributes no mappings.
             for (std::uint32_t s = 0; s < slotsPerPage_; ++s) {
                 const SlotId slot = slotOf(p, s);
                 slotOob_[slot] = OobEntry{};
-                for (std::uint32_t k = 0; k < sectorsPerUnit_; ++k)
-                    sectors_[slot * sectorsPerUnit_ + k] =
-                        SectorData{};
+                std::fill_n(sectorsOf(slot), sectorsPerUnit_,
+                            SectorData{});
             }
-            pageSeq_[p] = 0;
             continue;
         }
-        const PageContent &content = nand_.peek(p);
-        // A page whose program failed is consumed but holds nothing
-        // readable (empty tokens/OOB); its shadows reset like an
-        // unprogrammed page and it contributes no mappings.
-        const bool readable =
-            content.slotTokens.size() >=
-            std::size_t(slotsPerPage_) * sectorsPerUnit_ *
-                kChunksPerSector;
         for (std::uint32_t s = 0; s < slotsPerPage_; ++s) {
             const SlotId slot = slotOf(p, s);
-            slotOob_[slot] = s < content.oob.size()
-                                 ? content.oob[s]
-                                 : OobEntry{};
-            for (std::uint32_t k = 0;
-                 k < sectorsPerUnit_ * kChunksPerSector; ++k) {
-                sectors_[slot * sectorsPerUnit_ +
-                         k / kChunksPerSector]
-                    .chunks[k % kChunksPerSector] =
-                    readable
-                        ? content.slotTokens[(s * sectorsPerUnit_ *
-                                              kChunksPerSector) +
-                                             k]
-                        : 0;
+            if (slotOob_[slot].lpn != kInvalidAddr) {
+                ordered.push_back(
+                    Replay{slotOob_[slot].writeSeq, seq, slot});
             }
         }
-        pageSeq_[p] = content.seq;
-        if (readable) {
-            for (std::uint32_t s = 0; s < slotsPerPage_; ++s) {
-                const SlotId slot = slotOf(p, s);
-                if (slotOob_[slot].lpn != kInvalidAddr) {
-                    ordered.push_back(Replay{
-                        slotOob_[slot].writeSeq, content.seq, slot});
-                }
-            }
-        }
-        nextProgramSeq_ =
-            std::max(nextProgramSeq_, content.seq + 1);
+        nextProgramSeq_ = std::max(nextProgramSeq_, seq + 1);
     }
     std::sort(ordered.begin(), ordered.end());
 
@@ -990,13 +982,13 @@ Ftl::rebuildFromPowerLoss()
     for (const auto &[target, cand] : targets) {
         if (cand.slot == kInvalidAddr)
             continue;
-        const SlotId current = map_[target];
+        const SlotId current = mappedSlot(target);
         const std::uint64_t current_version =
             current == kInvalidAddr ? 0 : slotOob_[current].version;
         if (cand.version < current_version)
             continue;
         unmap(target);
-        map_[target] = cand.slot;
+        setMapping(target, cand.slot);
         addRef(cand.slot, target);
         ++report.remapsRecovered;
     }
@@ -1014,9 +1006,14 @@ Ftl::checkInvariants() const
     auto fail = [](const std::string &what) {
         throw std::logic_error("FTL invariant violated: " + what);
     };
-    // Forward map -> slot references.
+    // Forward map -> slot references, and the mapped-LPN bitmap.
     for (Lpn lpn = 0; lpn < map_.size(); ++lpn) {
-        const SlotId slot = map_[lpn];
+        const SlotId slot = mappedSlot(lpn);
+        const bool marked = (mappedBits_[lpn / 64] >> (lpn % 64)) & 1;
+        if (marked != (slot != kInvalidAddr)) {
+            fail("LPN " + std::to_string(lpn) + " bitmap bit " +
+                 std::to_string(marked) + " disagrees with the map");
+        }
         if (slot == kInvalidAddr)
             continue;
         bool listed = false;
@@ -1038,7 +1035,7 @@ Ftl::checkInvariants() const
         std::uint16_t counted = 0;
         forEachRef(slot, [&](Lpn lpn) {
             ++counted;
-            if (lpn >= map_.size() || map_[lpn] != slot) {
+            if (lpn >= map_.size() || mappedSlot(lpn) != slot) {
                 fail("slot " + std::to_string(slot) +
                      " references LPN " + std::to_string(lpn) +
                      " which does not map back");
@@ -1062,23 +1059,38 @@ Ftl::checkInvariants() const
     }
     if (bm_.totalValid() != total_live)
         fail("total valid mismatch");
+    // Open-page flags mark exactly the open pages (isBuffered).
+    std::vector<Ppn> open_pages;
+    for (const OpenPage &op : open_) {
+        if (op.ppn != kInvalidAddr)
+            open_pages.push_back(op.ppn);
+    }
+    std::sort(open_pages.begin(), open_pages.end());
+    for (Ppn p = 0; p < pageOpen_.size(); ++p) {
+        const bool open = std::binary_search(open_pages.begin(),
+                                             open_pages.end(), p);
+        if ((pageOpen_[p] != 0) != open) {
+            fail("page " + std::to_string(p) + " open flag " +
+                 std::to_string(pageOpen_[p]) + " disagrees with the " +
+                 "open pages");
+        }
+    }
 }
 
 std::vector<std::pair<Lpn, SlotId>>
 Ftl::scanOobMappings() const
 {
     std::vector<std::pair<std::uint64_t, Ppn>> ordered;
-    for (Ppn p = 0; p < pageSeq_.size(); ++p) {
-        if (pageSeq_[p] != 0 && nand_.isProgrammed(p))
-            ordered.push_back({pageSeq_[p], p});
+    for (Ppn p = 0; p < nand_.config().totalPages(); ++p) {
+        const std::uint64_t seq = nand_.programSeq(p);
+        if (seq != 0)
+            ordered.push_back({seq, p});
     }
     std::sort(ordered.begin(), ordered.end());
     std::unordered_map<Lpn, SlotId> rebuilt;
     for (const auto &[seq, ppn] : ordered) {
-        const PageContent &content = nand_.peek(ppn);
-        for (std::uint32_t s = 0;
-             s < content.oob.size() && s < slotsPerPage_; ++s) {
-            const OobEntry &e = content.oob[s];
+        for (std::uint32_t s = 0; s < slotsPerPage_; ++s) {
+            const OobEntry &e = slotOob_[slotOf(ppn, s)];
             if (e.lpn == kInvalidAddr)
                 continue;
             rebuilt[e.lpn] = slotOf(ppn, s);

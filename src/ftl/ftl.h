@@ -13,6 +13,7 @@
 #define CHECKIN_FTL_FTL_H_
 
 #include <array>
+#include <cassert>
 #include <cstdint>
 #include <functional>
 #include <unordered_map>
@@ -26,6 +27,7 @@
 #include "obs/trace.h"
 #include "sim/stats.h"
 #include "sim/types.h"
+#include "sim/zeroed_array.h"
 
 namespace checkin {
 
@@ -112,6 +114,9 @@ class Ftl
     /** Functional read: copy current sector contents, no timing. */
     void peekSectors(Lba lba, std::uint32_t nsect,
                      SectorData *out) const;
+
+    /** Functional read of a physical slot's OOB entry, no timing. */
+    const OobEntry &slotOob(SlotId slot) const { return slotOob_[slot]; }
 
     /**
      * Discard whole mapping units covered by [lba, lba+nsect).
@@ -221,6 +226,8 @@ class Ftl
      * Exhaustive consistency check of the mapping machinery:
      *  - every mapped LPN's slot lists that LPN among its references;
      *  - every referencing LPN maps back to the slot;
+     *  - the mapped-LPN bitmap marks exactly the mapped LPNs;
+     *  - the open-page flags mark exactly the pages in open_;
      *  - per-block valid counts equal the number of live slots;
      *  - free blocks contain no live slots.
      * @throws std::logic_error describing the first violation.
@@ -233,11 +240,12 @@ class Ftl
      *  spill into refOverflow_. */
     static constexpr std::uint8_t kInlineRefs = 2;
 
+    /** All-zero bytes is the free slot: refs are read below nrefs
+     *  only. */
     struct SlotInfo
     {
-        std::array<Lpn, kInlineRefs> refs{kInvalidAddr, kInvalidAddr};
+        std::array<Lpn, kInlineRefs> refs{};
         std::uint16_t nrefs = 0;
-        bool everValid = false;
     };
 
     struct OpenPage
@@ -249,6 +257,24 @@ class Ftl
     SlotId slotOf(Ppn ppn, std::uint32_t idx) const;
     Pbn blockOfSlot(SlotId slot) const;
     Ppn pageOfSlot(SlotId slot) const;
+
+    /** The sectorsPerUnit_ shadow sectors of @p slot. */
+    SectorData *
+    sectorsOf(SlotId slot)
+    {
+        assert((slot + 1) * sectorsPerUnit_ <= sectors_.size());
+        return &sectors_[slot * sectorsPerUnit_];
+    }
+
+    /** Slot @p lpn maps to, or kInvalidAddr. */
+    SlotId mappedSlot(Lpn lpn) const { return map_[lpn] - 1; }
+
+    /** Point @p lpn at @p slot (kInvalidAddr: unmapped) without
+     *  touching references; the one writer of map_ and mappedBits_. */
+    void setMapping(Lpn lpn, SlotId slot);
+
+    /** First mapped LPN in [from, end), or end if there is none. */
+    Lpn nextMapped(Lpn from, Lpn end) const;
 
     /** True when the slot's page is still an unprogrammed open page. */
     bool isBuffered(SlotId slot) const;
@@ -354,14 +380,35 @@ class Ftl
     std::uint64_t logicalUnits_;
 
     BlockManager bm_;
-    std::vector<SlotId> map_;          // LPN -> slot (or kInvalidAddr)
-    std::vector<SlotInfo> slotInfo_;   // per physical slot
+    /**
+     * Geometry-sized state lives in ZeroedArrays: all-zero bytes is
+     * the factory-fresh state, so construction touches no memory and
+     * a run pays only for the slots, pages and LPNs it reaches.
+     *
+     * map_ holds slot + 1 per LPN, so zero (kInvalidAddr + 1) means
+     * unmapped; read it through mappedSlot(). mappedBits_ marks the
+     * mapped LPNs so bulk paths (trim) skip unmapped runs a word at a
+     * time.
+     */
+    ZeroedArray<SlotId> map_;
+    ZeroedArray<std::uint64_t> mappedBits_;
+    ZeroedArray<SlotInfo> slotInfo_;   // per physical slot
     /** Rare >2-reference CoW chains: slot -> extra referencing LPNs. */
     std::unordered_map<SlotId, std::vector<Lpn>> refOverflow_;
-    std::vector<SectorData> sectors_;  // per physical sector shadow
-    std::vector<OobEntry> slotOob_;    // per physical slot OOB
-    std::vector<std::uint64_t> pageSeq_; // program sequence per page
-    // open_[stream * dieCount + die]; rot_ rotates the target die.
+    /**
+     * Sector tokens and OOB per physical slot: the device's only copy
+     * of flash contents. A slot's shadow is written while its page is
+     * open (SPOR-protected buffer) and is final once the page is
+     * programmed; NandFlash tracks which pages are programmed and
+     * readable. A slot's OOB is always written (allocateSlot, or the
+     * pad in programOpenPage) before anything reads it.
+     */
+    ZeroedArray<SectorData> sectors_;
+    ZeroedArray<OobEntry> slotOob_;
+    /** 1 while a page is some stream's open page (see isBuffered). */
+    ZeroedArray<std::uint8_t> pageOpen_;
+    // open_[stream * dieCount + die]; rot_[stream] (< dieCount) is the
+    // die the stream's next allocation starts probing at.
     std::vector<OpenPage> open_;
     std::array<std::uint32_t, kStreamCount> rot_{};
 
@@ -402,7 +449,6 @@ class Ftl
      *  - the host-path buffers are never used on those paths;
      *  - reclaimBlock's buffers are safe because it runs only under
      *    inGc_ and so never nests;
-     *  - programBuf_ is done with before handleProgramFail runs;
      *  - handleProgramFail itself can nest and keeps locals.
      * A new user of a buffer must keep to this or get its own buffer.
      */
@@ -412,7 +458,6 @@ class Ftl
     std::vector<SectorData> copyScratch_;  //!< copySectors payload
     std::vector<SectorData> gcPayload_;    //!< reclaimBlock slot copy
     std::vector<Lpn> gcRefs_;              //!< reclaimBlock slot refs
-    PageContent programBuf_;               //!< programOpenPage (swap)
 
     /** Single trace lane for FTL-level events (Cat::Ftl). */
     static constexpr std::uint32_t kFtlLane = 0;

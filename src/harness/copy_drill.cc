@@ -87,7 +87,8 @@ primeEventQueue(EventQueue &eq)
     }
 }
 
-CopyPathDrill::CopyPathDrill(std::uint32_t mapping_unit_bytes)
+CopyPathDrill::CopyPathDrill(std::uint32_t mapping_unit_bytes,
+                             Start start)
 {
     ExperimentConfig cfg = presets::small();
     cfg.ftl.mappingUnitBytes = mapping_unit_bytes;
@@ -101,7 +102,8 @@ CopyPathDrill::CopyPathDrill(std::uint32_t mapping_unit_bytes)
     const Lba window = kRecordsPerRound * (3 * spu + 1);
     journalSectors_ = cap / 4 / window * window;
 
-    ageDevice(ctx_.events(), *ssd_, dataSectors_, journalBase_);
+    if (start == Start::Aged)
+        ageDevice(ctx_.events(), *ssd_, dataSectors_, journalBase_);
     primeEventQueue(ctx_.events());
     prepare(kWarmRounds);
     run();

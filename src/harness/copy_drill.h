@@ -2,10 +2,11 @@
  * @file
  * Steady-state drill of the device data path, for allocation gates.
  *
- * An Ssd on presets::small() geometry is aged until every free block
- * has been erased at least once, so page programs land on recycled
- * NAND page buffers. Each drill round then submits, through the
- * normal event-queue path:
+ * An Ssd on presets::small() geometry is either aged until every free
+ * block has been erased at least once, so GC runs during the drill,
+ * or left factory-fresh, so the drill's page programs land on pages
+ * that were never programmed. Each drill round then submits, through
+ * the normal event-queue path:
  *  - one journal write holding the round's records;
  *  - one CheckpointRemap batch of forced-copy records (multi-unit,
  *    chunk-shifted: Algorithm 1's copy fallback, the path LSM
@@ -37,9 +38,8 @@ namespace checkin {
 /**
  * Age @p ssd: overwrite every LBA outside [@p skip_begin,
  * @p skip_end) in passes until no free or active block is still
- * factory-fresh. A page's first program allocates its buffers; on an
- * aged device every program recycles the buffers of the page it
- * replaces, so an allocation gate measures steady state.
+ * factory-fresh. On an aged device the drill's writes keep GC (victim
+ * reads, slot migration, erases) on the measured path.
  * @throws std::runtime_error if aging does not converge.
  */
 void ageDevice(EventQueue &eq, Ssd &ssd, Lba skip_begin,
@@ -66,12 +66,21 @@ class CopyPathDrill
     static constexpr std::uint32_t kCommandsPerRound =
         3 + 2 * kHostOpsPerRound;
 
+    /** Device state the drill starts from. */
+    enum class Start
+    {
+        Aged,         //!< ageDevice() first: GC runs in the drill
+        FactoryFresh, //!< no block ever erased
+    };
+
     /**
-     * Build and age the device, then run kWarmRounds rounds so every
-     * reusable buffer reaches its steady-state size.
+     * Build (and, for Start::Aged, age) the device, then run
+     * kWarmRounds rounds so every reusable buffer reaches its
+     * steady-state size.
      * @throws std::runtime_error if aging does not converge.
      */
-    explicit CopyPathDrill(std::uint32_t mapping_unit_bytes = 2048);
+    explicit CopyPathDrill(std::uint32_t mapping_unit_bytes = 2048,
+                           Start start = Start::Aged);
 
     /** Build the commands of the next @p rounds rounds (allocates). */
     void prepare(std::uint32_t rounds);

@@ -4,31 +4,16 @@
 #include <cassert>
 #include <stdexcept>
 #include <string>
-#include <utility>
 
 #include "obs/attribution.h"
 
 namespace checkin {
 
-namespace {
-
-/** Empty a page's content but keep its buffers for the next program
- *  (see program). */
-void
-clearPage(PageContent &page)
-{
-    page.slotTokens.clear();
-    page.oob.clear();
-    page.seq = 0;
-}
-
-} // namespace
-
 NandFlash::NandFlash(const NandConfig &cfg)
     : cfg_(cfg),
       layout_(cfg),
       blocks_(cfg.totalBlocks()),
-      pages_(cfg.totalPages())
+      pageSeq_(cfg.totalPages())
 {
     dies_.reserve(cfg_.dieCount());
     for (std::uint32_t d = 0; d < cfg_.dieCount(); ++d)
@@ -68,7 +53,7 @@ NandFlash::channelOf(Ppn ppn)
 NandResult
 NandFlash::read(Ppn ppn, Tick earliest)
 {
-    assert(ppn < pages_.size());
+    assert(ppn < pageSeq_.size());
     stats_.add(sReads_);
     const Pbn pbn = ppn / cfg_.pagesPerBlock;
     // Fault decision up front: retries extend the sensing phase, so
@@ -127,9 +112,9 @@ NandFlash::read(Ppn ppn, Tick earliest)
 }
 
 NandResult
-NandFlash::program(Ppn ppn, PageContent &content, Tick earliest)
+NandFlash::program(Ppn ppn, std::uint64_t seq, Tick earliest)
 {
-    assert(ppn < pages_.size());
+    assert(ppn < pageSeq_.size());
     const Pbn pbn = ppn / cfg_.pagesPerBlock;
     const std::uint32_t page = std::uint32_t(ppn % cfg_.pagesPerBlock);
     Block &blk = blocks_[pbn];
@@ -145,11 +130,10 @@ NandFlash::program(Ppn ppn, PageContent &content, Tick earliest)
         faults_->programFails(ppn, blk.eraseCount, cfg_.maxPeCycles);
     // A failed program still consumes the page: the cells are in an
     // indeterminate state and in-order programming cannot reuse it.
-    // It reads back empty (no valid OOB), so SPOR rebuild skips it.
+    // It is left unreadable (no valid OOB), so SPOR rebuild skips it.
+    assert(seq != 0);
     blk.nextPage = page + 1;
-    std::swap(pages_[ppn], content);
-    if (failed)
-        clearPage(pages_[ppn]);
+    pageSeq_[ppn] = failed ? 0 : seq;
     stats_.add(sPrograms_);
     if (failed)
         stats_.add(sProgramFails_);
@@ -212,11 +196,8 @@ NandFlash::eraseBlock(Pbn pbn, Tick earliest)
     const bool failed =
         faults_ != nullptr &&
         faults_->eraseFails(pbn, blk.eraseCount, cfg_.maxPeCycles);
-    if (!failed) {
-        for (std::uint32_t p = 0; p < blk.nextPage; ++p)
-            clearPage(pages_[first + p]);
+    if (!failed)
         blk.nextPage = 0;
-    }
     // The erase attempt consumes a P/E cycle either way.
     ++blk.eraseCount;
     ++totalErases_;
@@ -252,11 +233,10 @@ NandFlash::nextProgramPage(Pbn pbn) const
     return blocks_[pbn].nextPage;
 }
 
-const PageContent &
-NandFlash::peek(Ppn ppn) const
+std::uint64_t
+NandFlash::programSeq(Ppn ppn) const
 {
-    assert(ppn < pages_.size());
-    return pages_[ppn];
+    return isProgrammed(ppn) ? pageSeq_[ppn] : 0;
 }
 
 std::uint32_t

@@ -2,10 +2,13 @@
  * @file
  * Functional + timing model of a NAND flash array.
  *
- * The array stores per-slot content tokens and OOB metadata so the
- * whole stack is end-to-end verifiable, enforces flash programming
- * rules (erase-before-program, in-order page programming within a
- * block), and charges die/channel time for every operation.
+ * The array keeps per-page state only (programmed, readable, program
+ * sequence), enforces flash programming rules (erase-before-program,
+ * in-order page programming within a block), and charges die/channel
+ * time for every operation. The contents of programmed pages (slot
+ * tokens and OOB) have one copy, the FTL's shadow arrays: writes go
+ * out of place, so a page's shadow is final once it is programmed and
+ * stays so until its block is erased and the page is opened again.
  */
 
 #ifndef CHECKIN_NAND_NAND_FLASH_H_
@@ -21,6 +24,7 @@
 #include "sim/resource.h"
 #include "sim/stats.h"
 #include "sim/types.h"
+#include "sim/zeroed_array.h"
 
 namespace checkin {
 
@@ -59,17 +63,13 @@ class NandFlash
     /**
      * Program a page. The page must be erased and must be the next
      * unprogrammed page of its block (NAND in-order rule). A failed
-     * program consumes the page — it stays unreadable (empty OOB)
-     * until the block is erased, and the block should be retired.
-     * @param content slot tokens + OOB to persist. It is swapped into
-     *        the page, and on return holds the page's previous
-     *        storage: empty, but keeping the capacity it had before
-     *        the page was erased. A caller that refills the same
-     *        PageContent for every program allocates nothing once
-     *        every page has been erased once.
+     * program consumes the page — it stays unreadable until the block
+     * is erased, and the block should be retired.
+     * @param seq program sequence (> 0) persisted with the page; the
+     *        power-loss rebuild orders pages by it.
      * @return completion tick + status.
      */
-    NandResult program(Ppn ppn, PageContent &content, Tick earliest);
+    NandResult program(Ppn ppn, std::uint64_t seq, Tick earliest);
 
     /**
      * Erase a block. A failed erase leaves the previous contents in
@@ -92,8 +92,11 @@ class NandFlash
     /** Next page index to program in @p pbn (== pagesPerBlock: full). */
     std::uint32_t nextProgramPage(Pbn pbn) const;
 
-    /** Content of a programmed page (functional read, no timing). */
-    const PageContent &peek(Ppn ppn) const;
+    /** True if the page is programmed and its program succeeded. */
+    bool isReadable(Ppn ppn) const { return programSeq(ppn) != 0; }
+
+    /** Program sequence of a readable page; 0 for any other page. */
+    std::uint64_t programSeq(Ppn ppn) const;
 
     /** Erase count of a block. */
     std::uint32_t eraseCount(Pbn pbn) const;
@@ -137,7 +140,10 @@ class NandFlash
     NandConfig cfg_;
     NandLayout layout_;
     std::vector<Block> blocks_;
-    std::vector<PageContent> pages_;
+    /** Program sequence per page, 0 after a failed program. Only
+     *  meaningful below the block's nextPage: an erase resets nextPage
+     *  and leaves the stale values, which the next program overwrites. */
+    ZeroedArray<std::uint64_t> pageSeq_;
     std::vector<Resource> dies_;
     std::vector<Resource> channels_;
     StatRegistry stats_;

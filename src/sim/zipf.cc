@@ -25,6 +25,7 @@ ZipfianDistribution::ZipfianDistribution(std::uint64_t item_count,
     assert(theta > 0.0 && theta < 1.0);
     zetan_ = zeta(itemCount_, theta_);
     zeta2theta_ = zeta(2, theta_);
+    halfPowTheta_ = std::pow(0.5, theta_);
     alpha_ = 1.0 / (1.0 - theta_);
     eta_ = (1.0 - std::pow(2.0 / double(itemCount_), 1.0 - theta_)) /
            (1.0 - zeta2theta_ / zetan_);
@@ -46,7 +47,7 @@ ZipfianDistribution::next(Rng &rng)
     const double uz = u * zetan_;
     if (uz < 1.0)
         return 0;
-    if (uz < 1.0 + std::pow(0.5, theta_))
+    if (uz < 1.0 + halfPowTheta_)
         return 1;
     const auto idx = std::uint64_t(
         double(itemCount_) * std::pow(eta_ * u - eta_ + 1.0, alpha_));

@@ -70,6 +70,8 @@ class ZipfianDistribution : public KeyDistribution
     double zetan_;
     double eta_;
     double zeta2theta_;
+    /** 0.5^theta, the item-1 threshold of next(). */
+    double halfPowTheta_;
 };
 
 /**

@@ -37,14 +37,27 @@ Isce::copyRecord(const CowPair &pair, Tick start)
         ftl_.readSectors(pair.src, src_sectors, IoCause::Checkpoint,
                          start);
     // Chunks past the record stay empty in the destination.
-    dstScratch_.assign(dst_sectors, SectorData{});
-    for (std::uint32_t c = 0; c < pair.chunks; ++c) {
-        const std::uint32_t s = pair.srcChunkShift + c;
-        dstScratch_[c / kChunksPerSector].chunks[c % kChunksPerSector] =
-            srcScratch_[s / kChunksPerSector]
-                .chunks[s % kChunksPerSector];
+    const SectorData *out = srcScratch_.data();
+    if (pair.srcChunkShift == 0) {
+        // Already chunk 0 aligned: the source sectors are the payload
+        // once the tail of the last one is cleared.
+        const std::uint32_t tail = pair.chunks % kChunksPerSector;
+        if (tail != 0) {
+            auto &last = srcScratch_[dst_sectors - 1].chunks;
+            std::fill(last.begin() + tail, last.end(), 0);
+        }
+    } else {
+        dstScratch_.assign(dst_sectors, SectorData{});
+        for (std::uint32_t c = 0; c < pair.chunks; ++c) {
+            const std::uint32_t s = pair.srcChunkShift + c;
+            dstScratch_[c / kChunksPerSector]
+                .chunks[c % kChunksPerSector] =
+                srcScratch_[s / kChunksPerSector]
+                    .chunks[s % kChunksPerSector];
+        }
+        out = dstScratch_.data();
     }
-    return ftl_.writeSectors(pair.dst, dst_sectors, dstScratch_.data(),
+    return ftl_.writeSectors(pair.dst, dst_sectors, out,
                              IoCause::Checkpoint, fetched,
                              pair.version);
 }

@@ -128,7 +128,7 @@ class Isce
      * live never call back into the ISCE, so the rule holds here.
      */
     std::vector<SectorData> srcScratch_;  //!< copy/buffer source run
-    std::vector<SectorData> dstScratch_;  //!< copyRecord destination
+    std::vector<SectorData> dstScratch_;  //!< copyRecord shifted payload
     /** flushSmallBuffer: (lba, entry) sorted by lba, plus the coalesced
      *  run and its per-unit OOB. */
     std::vector<std::pair<Lba, const BufferedSector *>> flushOrder_;

@@ -39,18 +39,6 @@ tinyNand()
     return c;
 }
 
-PageContent
-contentWith(std::uint64_t token)
-{
-    PageContent c;
-    c.slotTokens = {token};
-    OobEntry e;
-    e.lpn = token;
-    e.version = 1;
-    c.oob = {e};
-    return c;
-}
-
 SectorData
 sectorFor(std::uint64_t tag)
 {
@@ -225,16 +213,14 @@ TEST(NandFaults, RecoveredReadChargesRetrySenseTime)
     ASSERT_LE(fails, fc.readRetryMax);
 
     NandFlash clean(nc);
-    PageContent clean_page = contentWith(7);
-    const Tick prog = clean.program(0, clean_page, 0).tick;
+    const Tick prog = clean.program(0, 7, 0).tick;
     const NandResult clean_read = clean.read(0, prog);
     ASSERT_TRUE(clean_read.ok());
 
     NandFlash faulty(nc);
     FaultPlan plan(fc, seed);
     faulty.setFaultPlan(&plan);
-    PageContent faulty_page = contentWith(7);
-    ASSERT_EQ(faulty.program(0, faulty_page, 0).tick, prog);
+    ASSERT_EQ(faulty.program(0, 7, 0).tick, prog);
     const NandResult r = faulty.read(0, prog);
     EXPECT_TRUE(r.ok());
     // Each failed sensing attempt extends the die phase; the channel
@@ -255,8 +241,7 @@ TEST(NandFaults, UncorrectableReadSkipsChannelTransfer)
     FaultPlan plan(fc, 1);
     NandFlash nand(nc);
     nand.setFaultPlan(&plan);
-    PageContent page = contentWith(9);
-    const Tick prog = nand.program(0, page, 0).tick;
+    const Tick prog = nand.program(0, 9, 0).tick;
     const NandResult r = nand.read(0, prog);
     EXPECT_EQ(r.status, NandStatus::Uncorrectable);
     EXPECT_FALSE(r.ok());
@@ -277,19 +262,20 @@ TEST(NandFaults, ProgramFailConsumesThePage)
     FaultPlan plan(fc, 2);
     NandFlash nand(tinyNand());
     nand.setFaultPlan(&plan);
-    PageContent p0 = contentWith(1);
-    const NandResult r1 = nand.program(0, p0, 0);
+    const NandResult r1 = nand.program(0, 1, 0);
     EXPECT_EQ(r1.status, NandStatus::ProgramFailed);
-    // The page is consumed (in-order rule) but reads back empty.
+    // The page is consumed (in-order rule) but is not readable: no
+    // program sequence, so a rebuild skips it.
     EXPECT_EQ(nand.nextProgramPage(0), 1u);
     EXPECT_TRUE(nand.isProgrammed(0));
-    EXPECT_TRUE(nand.peek(0).slotTokens.empty());
-    EXPECT_TRUE(nand.peek(0).oob.empty());
+    EXPECT_FALSE(nand.isReadable(0));
+    EXPECT_EQ(nand.programSeq(0), 0u);
     // The cap is exhausted: the next program succeeds.
-    PageContent p1 = contentWith(2);
-    const NandResult r2 = nand.program(1, p1, r1.tick);
+    const NandResult r2 = nand.program(1, 2, r1.tick);
     EXPECT_TRUE(r2.ok());
-    EXPECT_EQ(nand.peek(1).slotTokens.at(0), 2u);
+    EXPECT_TRUE(nand.isReadable(1));
+    EXPECT_EQ(nand.programSeq(1), 2u);
+    EXPECT_FALSE(nand.isReadable(0));
 }
 
 TEST(NandFaults, EraseFailLeavesContentsAndConsumesPeCycle)
@@ -301,17 +287,20 @@ TEST(NandFaults, EraseFailLeavesContentsAndConsumesPeCycle)
     FaultPlan plan(fc, 2);
     NandFlash nand(tinyNand());
     nand.setFaultPlan(&plan);
-    PageContent page = contentWith(5);
-    const Tick prog = nand.program(0, page, 0).tick;
+    const Tick prog = nand.program(0, 5, 0).tick;
     const NandResult r1 = nand.eraseBlock(0, prog);
     EXPECT_EQ(r1.status, NandStatus::EraseFailed);
-    EXPECT_EQ(nand.peek(0).slotTokens.at(0), 5u);
+    // The page keeps its contents: still programmed and readable.
+    EXPECT_TRUE(nand.isReadable(0));
+    EXPECT_EQ(nand.programSeq(0), 5u);
     EXPECT_EQ(nand.nextProgramPage(0), 1u);
     EXPECT_EQ(nand.eraseCount(0), 1u);
     // Cap exhausted: the retry erase succeeds and clears the block.
     const NandResult r2 = nand.eraseBlock(0, r1.tick);
     EXPECT_TRUE(r2.ok());
     EXPECT_EQ(nand.nextProgramPage(0), 0u);
+    EXPECT_FALSE(nand.isProgrammed(0));
+    EXPECT_EQ(nand.programSeq(0), 0u);
     EXPECT_EQ(nand.eraseCount(0), 2u);
 }
 

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <vector>
@@ -121,6 +123,62 @@ TEST_P(FtlFuzz, RandomOpsKeepInvariantsAndContent)
     ftl_->writeSectors(0, 1, &d, IoCause::Query, 0);
     model_[0] = d;
     checkAll();
+}
+
+// Trims over large, mostly unmapped ranges skip through the mapped-LPN
+// bitmap; per LPN they must do exactly what a unit-by-unit trim does:
+// unmap every mapped unit in range (counting each once) and nothing
+// outside it.
+TEST_P(FtlFuzz, SparseLargeTrimsMatchPerLpnSemantics)
+{
+    Rng rng(GetParam() * 104729 + 7);
+    const std::uint64_t units = ftl_->logicalUnits();
+    for (int step = 0; step < 3000; ++step) {
+        const Lpn a = rng.nextBounded(units);
+        switch (rng.nextBounded(10)) {
+          case 0 ... 4: { // sparse write anywhere in the device
+            const SectorData d = sectorFor(++tag_);
+            ftl_->writeSectors(a, 1, &d, IoCause::Query, 0);
+            model_[a] = d;
+            break;
+          }
+          case 5: { // remap onto a far LPN
+            const Lpn b = rng.nextBounded(units);
+            if (!ftl_->isMapped(a) || a == b)
+                break;
+            ftl_->remapUnit(a, b, 0);
+            model_[b] = model_[a];
+            break;
+          }
+          case 6 ... 8: { // trim up to a few hundred units
+            const std::uint64_t len =
+                1 + rng.nextBounded(std::min<std::uint64_t>(
+                        units - a, 1 + rng.nextBounded(600)));
+            const auto lo = model_.lower_bound(a);
+            const auto hi = model_.lower_bound(a + len);
+            const auto mapped = std::uint64_t(std::distance(lo, hi));
+            const std::uint64_t trimmed0 =
+                ftl_->stats().get("ftl.trimmedUnits");
+            ftl_->trimSectors(a, len);
+            model_.erase(lo, hi);
+            ASSERT_EQ(ftl_->stats().get("ftl.trimmedUnits") - trimmed0,
+                      mapped)
+                << "trim [" << a << ", " << a + len << ")";
+            for (Lpn u = a; u < a + len; ++u)
+                ASSERT_FALSE(ftl_->isMapped(u)) << "lpn " << u;
+            break;
+          }
+          default: {
+            ftl_->runBackgroundGc(0);
+            break;
+          }
+        }
+        if (step % 250 == 249)
+            checkAll();
+    }
+    checkAll();
+    for (Lpn u = 0; u < units; ++u)
+        ASSERT_EQ(ftl_->isMapped(u), model_.count(u) == 1) << "lpn " << u;
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FtlFuzz,

@@ -25,15 +25,6 @@ tinyConfig()
     return c;
 }
 
-PageContent
-contentWith(std::uint64_t token)
-{
-    PageContent c;
-    c.slotTokens = {token};
-    c.oob = {OobEntry{token, 1}};
-    return c;
-}
-
 TEST(NandLayout, FlattenUnflattenRoundTrip)
 {
     const NandConfig cfg = tinyConfig();
@@ -72,59 +63,67 @@ TEST(NandConfigTest, GeometryMath)
 TEST(NandFlash, ProgramThenReadRoundTrips)
 {
     NandFlash nand(tinyConfig());
-    PageContent c = contentWith(0xabc);
-    nand.program(0, c, 0);
+    EXPECT_FALSE(nand.isProgrammed(0));
+    EXPECT_FALSE(nand.isReadable(0));
+    EXPECT_EQ(nand.programSeq(0), 0u);
+    const NandResult w = nand.program(0, 0xabc, 0);
+    ASSERT_TRUE(w.ok());
     EXPECT_TRUE(nand.isProgrammed(0));
-    EXPECT_EQ(nand.peek(0).slotTokens[0], 0xabcu);
+    EXPECT_TRUE(nand.isReadable(0));
+    EXPECT_EQ(nand.programSeq(0), 0xabcu);
+    EXPECT_TRUE(nand.read(0, w.tick).ok());
+    EXPECT_EQ(nand.programSeq(0), 0xabcu);
+    // The next page of the block is untouched.
+    EXPECT_FALSE(nand.isProgrammed(1));
+    EXPECT_EQ(nand.programSeq(1), 0u);
 }
 
 TEST(NandFlash, InOrderProgrammingEnforced)
 {
     NandFlash nand(tinyConfig());
-    PageContent c0 = contentWith(1);
-    nand.program(0, c0, 0);
+    nand.program(0, 1, 0);
     // Page 2 before page 1 violates the in-order rule.
-    PageContent c2 = contentWith(2);
-    EXPECT_THROW(nand.program(2, c2, 0), std::logic_error);
-    PageContent c1 = contentWith(2);
-    nand.program(1, c1, 0);
+    EXPECT_THROW(nand.program(2, 2, 0), std::logic_error);
+    nand.program(1, 2, 0);
     EXPECT_EQ(nand.nextProgramPage(0), 2u);
 }
 
 TEST(NandFlash, RewriteWithoutEraseRejected)
 {
     NandFlash nand(tinyConfig());
-    PageContent first = contentWith(1);
-    nand.program(0, first, 0);
-    PageContent second = contentWith(2);
-    EXPECT_THROW(nand.program(0, second, 0), std::logic_error);
+    nand.program(0, 1, 0);
+    EXPECT_THROW(nand.program(0, 2, 0), std::logic_error);
+    EXPECT_EQ(nand.programSeq(0), 1u);
 }
 
 TEST(NandFlash, EraseResetsBlock)
 {
     NandFlash nand(tinyConfig());
     const NandConfig cfg = tinyConfig();
-    for (std::uint32_t p = 0; p < cfg.pagesPerBlock; ++p) {
-        PageContent c = contentWith(p);
-        nand.program(p, c, 0);
-    }
+    for (std::uint32_t p = 0; p < cfg.pagesPerBlock; ++p)
+        nand.program(p, p + 1, 0);
     EXPECT_EQ(nand.nextProgramPage(0), cfg.pagesPerBlock);
     nand.eraseBlock(0, 0);
     EXPECT_EQ(nand.nextProgramPage(0), 0u);
-    EXPECT_FALSE(nand.isProgrammed(0));
     EXPECT_EQ(nand.eraseCount(0), 1u);
-    // Re-programming after erase works.
-    PageContent again = contentWith(7);
-    nand.program(0, again, 0);
-    EXPECT_EQ(nand.peek(0).slotTokens[0], 7u);
+    for (std::uint32_t p = 0; p < cfg.pagesPerBlock; ++p) {
+        EXPECT_FALSE(nand.isProgrammed(p)) << p;
+        EXPECT_FALSE(nand.isReadable(p)) << p;
+        EXPECT_EQ(nand.programSeq(p), 0u) << p;
+    }
+    // Re-programming after erase works; the rest stays erased.
+    nand.program(0, 7, 0);
+    EXPECT_EQ(nand.programSeq(0), 7u);
+    EXPECT_TRUE(nand.isReadable(0));
+    EXPECT_FALSE(nand.isProgrammed(1));
+    EXPECT_EQ(nand.programSeq(1), 0u);
 }
 
 TEST(NandFlash, TimingReadIsSenseThenTransfer)
 {
     const NandConfig cfg = tinyConfig();
     NandFlash nand(cfg);
-    PageContent c = contentWith(1);
-    nand.program(0, c, 0);
+    nand.program(0, 1, 0);
     const Tick idle = nand.allIdleAt();
     const Tick done = nand.read(0, idle).tick;
     EXPECT_EQ(done, idle + cfg.readLatency + cfg.pageTransferTime());
@@ -134,10 +133,8 @@ TEST(NandFlash, TimingSameDieSerializes)
 {
     const NandConfig cfg = tinyConfig();
     NandFlash nand(cfg);
-    PageContent c0 = contentWith(1);
-    nand.program(0, c0, 0);
-    PageContent c1 = contentWith(2);
-    nand.program(1, c1, 0);
+    nand.program(0, 1, 0);
+    nand.program(1, 2, 0);
     const Tick idle = nand.allIdleAt();
     const Tick r1 = nand.read(0, idle).tick;
     const Tick r2 = nand.read(1, idle).tick;
@@ -153,10 +150,8 @@ TEST(NandFlash, TimingDifferentDiesOverlap)
     // Block 0 is die 0; the last block lives on the last die.
     const Ppn other_die_page =
         (cfg.totalBlocks() - 1) * cfg.pagesPerBlock;
-    PageContent c0 = contentWith(1);
-    nand.program(0, c0, 0);
-    PageContent c1 = contentWith(2);
-    nand.program(other_die_page, c1, 0);
+    nand.program(0, 1, 0);
+    nand.program(other_die_page, 2, 0);
     const Tick idle = nand.allIdleAt();
     const Tick r1 = nand.read(0, idle).tick;
     const Tick r2 = nand.read(other_die_page, idle).tick;
@@ -167,8 +162,7 @@ TEST(NandFlash, TimingDifferentDiesOverlap)
 TEST(NandFlash, StatsCount)
 {
     NandFlash nand(tinyConfig());
-    PageContent c = contentWith(1);
-    nand.program(0, c, 0);
+    nand.program(0, 1, 0);
     nand.read(0, 0);
     nand.read(0, 0);
     const StatRegistry &s = nand.stats();
@@ -188,17 +182,26 @@ TEST(NandFlash, EraseCountTracking)
     EXPECT_EQ(nand.totalEraseCount(), 4u);
 }
 
+// The array keeps the per-page OOB state (program sequence); slot
+// tokens and OOB entries are the FTL's shadows, covered by
+// PowerLossFtl.ShadowSurvivesFlushAndRebuildBitForBit.
 TEST(NandFlash, OobPersistsThroughProgram)
 {
-    NandFlash nand(tinyConfig());
-    PageContent c;
-    c.slotTokens = {11, 22};
-    c.oob = {OobEntry{100, 5}, OobEntry{200, 6}};
-    nand.program(0, c, 0);
-    const PageContent &read_back = nand.peek(0);
-    ASSERT_EQ(read_back.oob.size(), 2u);
-    EXPECT_EQ(read_back.oob[0].lpn, 100u);
-    EXPECT_EQ(read_back.oob[1].version, 6u);
+    const NandConfig cfg = tinyConfig();
+    NandFlash nand(cfg);
+    nand.program(0, 5, 0);
+    nand.program(1, 6, 0);
+    const Ppn other = 2 * cfg.pagesPerBlock;
+    nand.program(other, 9, 0);
+    // Reads and erasing another block leave the sequences in place.
+    nand.read(0, 0);
+    nand.read(1, 0);
+    nand.eraseBlock(2, 0);
+    EXPECT_EQ(nand.programSeq(0), 5u);
+    EXPECT_EQ(nand.programSeq(1), 6u);
+    EXPECT_EQ(nand.programSeq(other), 0u);
+    EXPECT_TRUE(nand.isReadable(1));
+    EXPECT_FALSE(nand.isReadable(other));
 }
 
 } // namespace

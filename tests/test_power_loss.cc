@@ -9,7 +9,9 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <vector>
 
+#include "fault/fault_plan.h"
 #include "ftl/ftl.h"
 #include "nand/nand_flash.h"
 #include "sim/rng.h"
@@ -87,6 +89,117 @@ TEST(PowerLossFtl, RemapRecoveredViaOobTargetAnnotation)
     SectorData got;
     ftl.peekSectors(40, 1, &got);
     EXPECT_EQ(got, d) << "remapped data lost by rebuild";
+}
+
+// The FTL shadows are the device's only copy of flash contents, so a
+// rebuild must find every programmed token and OOB field exactly as
+// written: through a program failure (its page turns unreadable and
+// its slots are rescued elsewhere) and through the capacitor flush of
+// partially filled pages.
+TEST(PowerLossFtl, ShadowSurvivesFlushAndRebuildBitForBit)
+{
+    FaultConfig fc;
+    fc.enabled = true;
+    fc.programFailProb = 1.0;
+    fc.maxProgramFails = 1; // only the first page program fails
+    FaultPlan plan(fc, 3);
+    NandFlash nand(deviceNand());
+    nand.setFaultPlan(&plan);
+    FtlConfig cfg;
+    cfg.mappingUnitBytes = 512;
+    Ftl ftl(nand, cfg);
+
+    constexpr Lpn kData = 45;
+    constexpr Lpn kJournal = 100;
+    constexpr Lpn kTarget = 200;
+    constexpr std::uint32_t kLogs = 3;
+    for (Lpn lpn = 0; lpn < kData; ++lpn) {
+        const SectorData d = sectorFor(lpn + 1);
+        ftl.writeSectors(lpn, 1, &d, IoCause::Query, 0, lpn + 1);
+    }
+    std::vector<SectorData> logs;
+    std::vector<OobEntry> ann(kLogs);
+    for (std::uint32_t j = 0; j < kLogs; ++j) {
+        logs.push_back(sectorFor(1000 + j));
+        ann[j].version = 1000 + j;
+        ann[j].targetLpn = kTarget + j;
+    }
+    ftl.writeSectors(kJournal, kLogs, logs.data(), IoCause::Journal, 0,
+                     0, ann.data());
+    for (std::uint32_t j = 0; j < kLogs; ++j)
+        ftl.remapUnit(kJournal + j, kTarget + j, 0);
+    ftl.flushOpenPages(0);
+    ASSERT_EQ(plan.counters().programFails, 1u);
+    // The flush programmed partially filled pages: programs carry
+    // more slots than were ever written.
+    ASSERT_LT(ftl.stats().get("ftl.slotWrites"),
+              nand.stats().get("nand.programs") * ftl.slotsPerPage());
+
+    Ppn failed = kInvalidAddr;
+    for (Ppn p = 0; p < nand.config().totalPages(); ++p) {
+        if (nand.isProgrammed(p) && !nand.isReadable(p)) {
+            ASSERT_EQ(failed, kInvalidAddr) << "one failed page";
+            failed = p;
+        }
+    }
+    ASSERT_NE(failed, kInvalidAddr);
+    // Until the power cut the shadow still holds what the failed
+    // program carried (the rescue sourced from it).
+    EXPECT_NE(ftl.slotOob(failed * ftl.slotsPerPage()).lpn,
+              kInvalidAddr);
+
+    const Lpn span = kTarget + kLogs;
+    std::vector<SectorData> before(span);
+    ftl.peekSectors(0, span, before.data());
+    const auto mappings_before = ftl.scanOobMappings();
+
+    ftl.rebuildFromPowerLoss();
+    ftl.checkInvariants();
+
+    std::vector<SectorData> after(span);
+    ftl.peekSectors(0, span, after.data());
+    for (Lpn lpn = 0; lpn < span; ++lpn) {
+        EXPECT_EQ(after[lpn], before[lpn]) << "lpn " << lpn;
+        EXPECT_EQ(ftl.isMapped(lpn),
+                  lpn < kData ||
+                      (lpn >= kJournal && lpn < kJournal + kLogs) ||
+                      lpn >= kTarget)
+            << "lpn " << lpn;
+    }
+    for (Lpn lpn = 0; lpn < kData; ++lpn)
+        EXPECT_EQ(after[lpn], sectorFor(lpn + 1)) << "lpn " << lpn;
+    for (std::uint32_t j = 0; j < kLogs; ++j) {
+        EXPECT_EQ(after[kJournal + j], logs[j]);
+        EXPECT_EQ(after[kTarget + j], logs[j]);
+    }
+
+    // Exactly the written LPNs have a write-origin slot, with every
+    // OOB field as written (writeSeq is the host-write order).
+    const auto mappings = ftl.scanOobMappings();
+    EXPECT_EQ(mappings, mappings_before);
+    ASSERT_EQ(mappings.size(), kData + kLogs);
+    for (const auto &[lpn, slot] : mappings) {
+        const OobEntry &oob = ftl.slotOob(slot);
+        EXPECT_EQ(oob.lpn, lpn);
+        if (lpn < kData) {
+            EXPECT_EQ(oob.version, lpn + 1);
+            EXPECT_EQ(oob.targetLpn, kInvalidAddr);
+            EXPECT_EQ(oob.writeSeq, lpn + 1);
+        } else {
+            const Lpn j = lpn - kJournal;
+            ASSERT_LT(j, kLogs);
+            EXPECT_EQ(oob.version, 1000 + j);
+            EXPECT_EQ(oob.targetLpn, kTarget + j);
+            EXPECT_EQ(oob.writeSeq, kData + 1 + j);
+        }
+    }
+    // The failed page held nothing readable: its shadow reads empty.
+    for (std::uint32_t s = 0; s < ftl.slotsPerPage(); ++s) {
+        const OobEntry &oob =
+            ftl.slotOob(failed * ftl.slotsPerPage() + s);
+        EXPECT_EQ(oob.lpn, kInvalidAddr);
+        EXPECT_EQ(oob.writeSeq, 0u);
+    }
 }
 
 TEST(PowerLossFtl, RemapSurvivesEvenAfterJournalTrim)

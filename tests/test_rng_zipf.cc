@@ -215,6 +215,39 @@ TEST(ScrambledZipfian, SpreadsHotKeys)
     EXPECT_GT(max_c, 100'000 / 100);
 }
 
+/** FNV-1a over the first 10 000 draws from an Rng seeded 42. */
+std::uint64_t
+drawDigest(KeyDistribution &d)
+{
+    Rng r(42);
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (int i = 0; i < 10'000; ++i) {
+        h ^= d.next(r);
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+// Pinned draw streams: every workload's key sequence comes from here,
+// so a change that moves one draw moves every golden run. The digests
+// were recorded before the 0.5^theta threshold was hoisted out of
+// next().
+TEST(Zipfian, DrawStreamIsPinned)
+{
+    ZipfianDistribution hot(1000, 0.99);
+    EXPECT_EQ(drawDigest(hot), 0xedd92805be5bd839ull);
+    ZipfianDistribution mild(100'000, 0.5);
+    EXPECT_EQ(drawDigest(mild), 0x20382e7505420f49ull);
+}
+
+TEST(ScrambledZipfian, DrawStreamIsPinned)
+{
+    ScrambledZipfianDistribution hot(1000, 0.99);
+    EXPECT_EQ(drawDigest(hot), 0xd619db91c682160aull);
+    ScrambledZipfianDistribution mild(100'000, 0.5);
+    EXPECT_EQ(drawDigest(mild), 0x67d9c0ff4ec3b9f4ull);
+}
+
 TEST(Latest, FavorsNewestItems)
 {
     Rng r(3);
